@@ -98,24 +98,41 @@ def gamma_len(n: int) -> int:
     return 2 * n.bit_length() - 1
 
 
+_WINDOW_BYTES = 128
+
+
 class BitReader:
     """Sequential reader over a Bits value; raises MalformedCertificate
-    on overrun so verifiers can map it to a reject decision."""
+    on overrun so verifiers can map it to a reject decision.
 
-    __slots__ = ("_value", "_length", "_pos")
+    A read cuts its field from a window, the integer of at least
+    _WINDOW_BYTES payload bytes (fewer at the end) from the field's first
+    byte on, kept until a read runs past it: a read's cost does not grow
+    with the payload, and a short payload is converted only once.
+    """
+
+    __slots__ = ("_data", "_length", "_pos", "_window", "_window_end")
 
     def __init__(self, bits: Bits):
-        self._value = int.from_bytes(bits.data, "big") >> ((8 - bits.length % 8) % 8)
+        self._data = bits.data
         self._length = bits.length
         self._pos = 0
+        self._window = 0
+        self._window_end = 0  # bit position just past the window's last byte
 
     def read(self, width: int) -> int:
         if width < 0:
             raise InvalidParams("negative width")
-        if self._pos + width > self._length:
+        end = self._pos + width
+        if end > self._length:
             raise MalformedCertificate("payload truncated")
-        self._pos += width
-        return (self._value >> (self._length - self._pos)) & ((1 << width) - 1)
+        if end > self._window_end:
+            first = self._pos >> 3
+            last = max((end + 7) >> 3, first + _WINDOW_BYTES)
+            self._window = int.from_bytes(self._data[first:last], "big")
+            self._window_end = min(last, len(self._data)) << 3
+        self._pos = end
+        return (self._window >> (self._window_end - end)) & ((1 << width) - 1)
 
     def read_gamma(self) -> int:
         zeros = 0

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / all nodes accept; 1 some node rejects or an audit
-finds a certificate/property mismatch; 2 usage or input error; 3 prover
-error (NotSatisfiable, NoPerfectHash, BitmapTooLarge).
+finds a certificate/property mismatch; 2 usage, input or unexpected error;
+3 prover error (NotSatisfiable, NoPerfectHash, BitmapTooLarge).
 """
 
 from __future__ import annotations
@@ -272,8 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     except _PROVER_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (CertificationError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # input errors and anything unexpected: one line, never a traceback
+        print(f"{type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
         return 2
 
 

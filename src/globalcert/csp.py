@@ -12,13 +12,17 @@ from fractions import Fraction
 from .bits import Bits
 from .errors import InvalidId, InvalidParams, MalformedCertificate, NotSatisfiable, ParseError, TooLarge
 from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph
-from .hashing import eval_hash, perfect_hash_search
+from .hashing import perfect_hash_search
 from .schemes import (
     Certificate,
+    HashCertificate,
     ProveStats,
     SchemeTag,
+    bucket_table,
     decode_assignment_fields,
     encode_assignment_fields,
+    hash_lookup,
+    range_for_proving,
 )
 
 
@@ -113,16 +117,17 @@ def csp_view(instance: CspInstance, var: int, certificate: Bits) -> CspView:
     return CspView(instance.ids.id_of(var), incident, certificate)
 
 
+def edge_relation(target: TargetGraph) -> frozenset[tuple[int, int]]:
+    """The target's edges in both orientations, as a binary relation."""
+    n = target.vertex_count
+    return frozenset((a, b) for a in range(n) for b in range(n) if target.has_edge(a, b))
+
+
 def graph_to_csp(graph: Graph, ids: IdAssignment, target: TargetGraph) -> CspInstance:
     """Homomorphism to `target` as a CSP: domain = target vertices, one
     binary constraint per edge allowing exactly the target's edges in both
     orientations."""
-    relation = frozenset(
-        (a, b)
-        for a in range(target.vertex_count)
-        for b in range(target.vertex_count)
-        if target.has_edge(a, b)
-    )
+    relation = edge_relation(target)
     constraints = tuple(
         CspConstraint(scope=(u, v), relation=relation) for u, v in sorted(graph.edges)
     )
@@ -176,19 +181,14 @@ def prove_csp(
     if solution is None:
         raise NotSatisfiable("CSP has no solution")
     n = instance.variable_count
-    id_range = params.id_policy.evaluate(n)
-    for i in instance.ids.ids:
-        if i >= id_range:
-            raise InvalidParams(f"identifier {i} outside policy range M(n) = {id_range}")
+    id_range = range_for_proving(instance.ids, n, params.id_policy)
     buckets = params.bucket_count(n)
     search = perfect_hash_search(instance.ids.id_set(), buckets, id_range)
     if stats is not None:
         stats.probes += search.probes
-    values = [0] * buckets
-    for var in range(n):
-        values[eval_hash(search.index, instance.ids.id_of(var), buckets)] = solution[var]
+    values = bucket_table(search.index, instance.ids, solution, buckets)
     payload = encode_assignment_fields(
-        n, search.index, tuple(values), params.id_policy, params.range_multiplier,
+        n, search.index, values, params.id_policy, params.range_multiplier,
         params.domain_size,
     )
     return Certificate(SchemeTag.HASH, payload)
@@ -198,25 +198,20 @@ def verify_csp_variable(view: CspView, params: CspParams) -> bool:
     """Accept iff the payload decodes and, for every incident constraint,
     the tuple of values found at the scope identifiers' buckets is allowed."""
     try:
-        claimed_n, hash_index, values = decode_assignment_fields(
+        decoded = HashCertificate(*decode_assignment_fields(
             view.certificate, params.id_policy, params.range_multiplier,
             params.domain_size,
-        )
-        id_range = params.id_policy.evaluate(claimed_n)
-    except (MalformedCertificate, InvalidParams):
+        ))
+    except MalformedCertificate:
         return False
-    buckets = len(values)
-    if view.own_id >= id_range:
+    lookup = hash_lookup(decoded, params.id_policy)
+    if lookup(view.own_id) is None:
         return False
-    for scope_ids, relation in view.constraints:
-        row = []
-        for identifier in scope_ids:
-            if identifier >= id_range:
-                return False
-            row.append(values[eval_hash(hash_index, identifier, buckets)])
-        if tuple(row) not in relation:
-            return False
-    return True
+    # no relation row holds the None of an identifier outside M(claimed n)
+    return all(
+        tuple(map(lookup, scope_ids)) in relation
+        for scope_ids, relation in view.constraints
+    )
 
 
 def parse_csp(text: str) -> CspInstance:

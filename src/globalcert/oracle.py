@@ -11,7 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .csp import CspInstance, CspParams, solve_csp
+from .csp import CspInstance, CspParams, edge_relation, solve_csp
 from .errors import InvalidParams, TooLarge
 from .graphs import Graph, IdAssignment, TargetGraph, local_view
 from .hashing import _fin, _mix_input, family_size
@@ -117,18 +117,9 @@ class AuditReport:
     witness: Certificate | int | None
 
 
-def _allowed_pairs(target: TargetGraph) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (a, b)
-        for a in range(target.vertex_count)
-        for b in range(target.vertex_count)
-        if target.has_edge(a, b)
-    )
-
-
 def _hash_claim_plan(n_values: int, policy, multiplier, bounds: AuditBounds):
-    """Valid (claim, id_range, buckets, family size) rows and the exact
-    number of decodable certificates they contribute."""
+    """Valid (claim, id_range, buckets, family size) rows; raises TooLarge
+    when the decodable certificates they hold exceed the bounds."""
     plan = []
     space = 0
     for claim in range(1, bounds.max_claimed_n + 1):
@@ -144,14 +135,51 @@ def _hash_claim_plan(n_values: int, policy, multiplier, bounds: AuditBounds):
         space += size * n_values**buckets
     if space > bounds.max_space:
         raise TooLarge(f"certificate space {space} exceeds {bounds.max_space}")
-    return plan, space
+    return plan
 
 
-def _first_hash_witness(plan) -> HashCertificate | None:
+def _enumerate_hash_space(
+    n_values, params, bounds, variable_ids, scopes, relations, encode
+):
+    """Enumerate hash certificates (claim, index, entries) in canonical order
+    until one satisfies every scope: the entries at the buckets of a scope's
+    variables, given as positions in `variable_ids`, form a tuple of its
+    relation. Returns the accepted certificate or None, the count tried,
+    and the canonically first certificate (None for an empty space), each
+    turned into a Certificate by `encode`."""
+    plan = _hash_claim_plan(n_values, params.id_policy, params.range_multiplier, bounds)
+    mixed = [_mix_input(i) for i in variable_ids]
+    tried = 0
+    for claim, id_range, buckets, size in plan:
+        entry_space = n_values**buckets
+        if any(i >= id_range for i in variable_ids):
+            tried += size * entry_space  # every node rejects out-of-range ids
+            continue
+        entries = list(itertools.product(range(n_values), repeat=buckets))
+        for index in range(size):
+            salt = _fin(index)
+            b = [_fin(m ^ salt) % buckets for m in mixed]
+            # filter scope by scope; order is kept, so the first survivor
+            # is the first accepted entry vector
+            survivors = entries
+            for scope, relation in zip(scopes, relations):
+                if len(scope) == 2:
+                    x, y = b[scope[0]], b[scope[1]]
+                    survivors = [e for e in survivors if (e[x], e[y]) in relation]
+                else:
+                    at = [b[p] for p in scope]
+                    survivors = [
+                        e for e in survivors if tuple(e[x] for x in at) in relation
+                    ]
+                if not survivors:
+                    break
+            if survivors:
+                tried += entries.index(survivors[0]) + 1
+                return encode(HashCertificate(claim, index, survivors[0])), tried, None
+            tried += entry_space
     if not plan:
-        return None
-    claim, _, buckets, _ = plan[0]
-    return HashCertificate(claim, 0, (0,) * buckets)
+        return None, tried, None
+    return None, tried, encode(HashCertificate(plan[0][0], 0, (0,) * plan[0][2]))
 
 
 def audit_soundness(
@@ -165,66 +193,38 @@ def audit_soundness(
     report whether some certificate is accepted by every node."""
     property_holds = exists_homomorphism(graph, params.target)
     if scheme is SchemeTag.HASH:
-        found, tried, first = _enumerate_hash(graph, ids, params, bounds)
+        edges = sorted(graph.edges)
+        found, tried, first = _enumerate_hash_space(
+            params.target.vertex_count, params, bounds, ids.ids, edges,
+            [edge_relation(params.target)] * len(edges),
+            lambda decoded: encode_hash_certificate(decoded, params),
+        )
     elif scheme is SchemeTag.IDLIST:
         found, tried, first = _enumerate_idlist(graph, ids, params, bounds)
     else:
         found, tried, first = _enumerate_bitmap(graph, ids, params, bounds)
-    witness: Certificate | int | None
+    return _report(
+        property_holds, found, tried, first,
+        lambda cert: (
+            ids.id_of(v)
+            for v in range(graph.vertex_count)
+            if not verify_certificate(
+                local_view(graph, ids, v, cert.payload), cert.scheme, params
+            )
+        ),
+    )
+
+
+def _report(property_holds, found, tried, first, rejecting_ids) -> AuditReport:
+    """The witness is the accepted certificate, else the lowest identifier
+    that `rejecting_ids(first)` yields (None for an empty space)."""
     if found is not None:
         witness = found
     elif first is None:
         witness = None
     else:
-        witness = _smallest_rejecting_id(graph, ids, first, params)
+        witness = min(rejecting_ids(first), default=None)
     return AuditReport(property_holds, found is not None, tried, witness)
-
-
-def _smallest_rejecting_id(graph, ids, cert: Certificate, params) -> int | None:
-    rejecting = [
-        ids.id_of(v)
-        for v in range(graph.vertex_count)
-        if not verify_certificate(
-            local_view(graph, ids, v, cert.payload), cert.scheme, params
-        )
-    ]
-    return min(rejecting) if rejecting else None
-
-
-def _enumerate_hash(graph, ids, params: SchemeParams, bounds):
-    n_values = params.target.vertex_count
-    plan, _ = _hash_claim_plan(
-        n_values, params.id_policy, params.range_multiplier, bounds
-    )
-    vertex_ids = [ids.id_of(v) for v in range(graph.vertex_count)]
-    edges = sorted(graph.edges)
-    allowed = _allowed_pairs(params.target)
-    mixed = [_mix_input(i) for i in vertex_ids]
-    tried = 0
-    for claim, id_range, buckets, size in plan:
-        entry_space = n_values**buckets
-        if any(i >= id_range for i in vertex_ids):
-            tried += size * entry_space  # every node rejects out-of-range ids
-            continue
-        entries = list(itertools.product(range(n_values), repeat=buckets))
-        for index in range(size):
-            salt = _fin(index)
-            b = [_fin(m ^ salt) % buckets for m in mixed]
-            pairs = [(b[u], b[v]) for u, v in edges]
-            for li, colors in enumerate(entries):
-                for x, y in pairs:
-                    if (colors[x], colors[y]) not in allowed:
-                        break
-                else:
-                    tried += li + 1
-                    cert = encode_hash_certificate(
-                        HashCertificate(claim, index, colors), params
-                    )
-                    return cert, tried, None
-            tried += entry_space
-    first = _first_hash_witness(plan)
-    first_cert = encode_hash_certificate(first, params) if first else None
-    return None, tried, first_cert
 
 
 def _enumerate_idlist(graph, ids, params: SchemeParams, bounds):
@@ -233,7 +233,7 @@ def _enumerate_idlist(graph, ids, params: SchemeParams, bounds):
     n_values = params.target.vertex_count
     policy = params.id_policy
     vertex_ids = frozenset(ids.ids)
-    allowed = _allowed_pairs(params.target)
+    allowed = edge_relation(params.target)
     # per identifier, the other endpoints it must be color-compatible with
     incident: dict[int, list[int]] = {}
     for u, v in graph.edges:
@@ -307,13 +307,14 @@ def _enumerate_idlist(graph, ids, params: SchemeParams, bounds):
 
 
 def _enumerate_bitmap(graph, ids, params: SchemeParams, bounds):
-    from .bits import Bits, BitWriter
+    from .bits import Bits
+    from .schemes import BitmapCertificate, encode_bitmap_certificate
 
     n_values = params.target.vertex_count
     width = params.value_width
     vertex_ids = [ids.id_of(v) for v in range(graph.vertex_count)]
     edge_ids = [(ids.id_of(u), ids.id_of(v)) for u, v in sorted(graph.edges)]
-    allowed = _allowed_pairs(params.target)
+    allowed = edge_relation(params.target)
 
     ranges = []
     for claim in range(1, bounds.max_claimed_n + 1):
@@ -344,23 +345,19 @@ def _enumerate_bitmap(graph, ids, params: SchemeParams, bounds):
 
     tried = 0
     first_cert = None
-
-    def encode(colors: tuple[int, ...]) -> Certificate:
-        w = BitWriter()
-        for c in colors:
-            w.write(c, width)
-        return Certificate(SchemeTag.BITMAP, w.getvalue())
-
     for id_range in ranges:
         if first_cert is None:
-            first_cert = encode((0,) * id_range)
+            first_cert = encode_bitmap_certificate(
+                BitmapCertificate((0,) * id_range), params
+            )
         if any(i >= id_range for i in vertex_ids):
             tried += n_values**id_range
             continue
         for colors in itertools.product(range(n_values), repeat=id_range):
             tried += 1
             if all((colors[a], colors[b]) in allowed for a, b in edge_ids):
-                return encode(colors), tried, None
+                cert = encode_bitmap_certificate(BitmapCertificate(colors), params)
+                return cert, tried, None
     return None, tried, first_cert
 
 
@@ -373,68 +370,27 @@ def audit_csp_soundness(
     certificate space is enumerated and checked against every variable's
     incident constraints."""
     property_holds = solve_csp(instance) is not None
-    plan, _ = _hash_claim_plan(
-        params.domain_size, params.id_policy, params.range_multiplier, bounds
+    found, tried, first = _enumerate_hash_space(
+        params.domain_size, params, bounds, instance.ids.ids,
+        [ct.scope for ct in instance.constraints],
+        [ct.relation for ct in instance.constraints],
+        lambda decoded: _csp_certificate(decoded, params),
     )
-    variable_ids = [instance.ids.id_of(v) for v in range(instance.variable_count)]
-    mixed = [_mix_input(i) for i in variable_ids]
-    scopes = [
-        tuple(instance.ids.id_of(v) for v in ct.scope) for ct in instance.constraints
-    ]
-    relations = [ct.relation for ct in instance.constraints]
-    id_pos = {identifier: pos for pos, identifier in enumerate(variable_ids)}
+    from .csp import csp_view, verify_csp_variable
 
-    tried = 0
-    found = None
-    for claim, id_range, buckets, size in plan:
-        entry_space = params.domain_size**buckets
-        if any(i >= id_range for i in variable_ids):
-            tried += size * entry_space
-            continue
-        entries = list(itertools.product(range(params.domain_size), repeat=buckets))
-        for index in range(size):
-            salt = _fin(index)
-            b = [_fin(m ^ salt) % buckets for m in mixed]
-            scope_buckets = [
-                tuple(b[id_pos[i]] for i in scope) for scope in scopes
-            ]
-            for li, values in enumerate(entries):
-                ok = True
-                for sb, relation in zip(scope_buckets, relations):
-                    if tuple(values[x] for x in sb) not in relation:
-                        ok = False
-                        break
-                if ok:
-                    tried += li + 1
-                    payload = encode_assignment_fields(
-                        claim, index, values, params.id_policy,
-                        params.range_multiplier, params.domain_size,
-                    )
-                    found = Certificate(SchemeTag.HASH, payload)
-                    break
-            if found is not None:
-                break
-            tried += entry_space
-        if found is not None:
-            break
-
-    witness: Certificate | int | None
-    if found is not None:
-        witness = found
-    elif not plan:
-        witness = None
-    else:
-        from .csp import csp_view, verify_csp_variable
-
-        claim, _, buckets, _ = plan[0]
-        payload = encode_assignment_fields(
-            claim, 0, (0,) * buckets, params.id_policy, params.range_multiplier,
-            params.domain_size,
-        )
-        rejecting = [
+    return _report(
+        property_holds, found, tried, first,
+        lambda cert: (
             instance.ids.id_of(v)
             for v in range(instance.variable_count)
-            if not verify_csp_variable(csp_view(instance, v, payload), params)
-        ]
-        witness = min(rejecting) if rejecting else None
-    return AuditReport(property_holds, found is not None, tried, witness)
+            if not verify_csp_variable(csp_view(instance, v, cert.payload), params)
+        ),
+    )
+
+
+def _csp_certificate(decoded: HashCertificate, params: CspParams) -> Certificate:
+    payload = encode_assignment_fields(
+        decoded.claimed_n, decoded.hash_index, decoded.colors, params.id_policy,
+        params.range_multiplier, params.domain_size,
+    )
+    return Certificate(SchemeTag.HASH, payload)

@@ -10,6 +10,13 @@ from its LocalView alone. Payload layouts (all MSB-first):
   BITMAP  M(n) * ceil(log2 n') bits; the color of the vertex with
           identifier i sits at position i * width; unassigned ids are zero
 
+Each verifier turns the payload into a color lookup (identifier -> color,
+or None when the certificate gives it no valid color): L[h(id)] below
+M(claimed n) for HASH, shared with the CSP scheme; the record table for
+IDLIST, None everywhere if unsorted; the color at position id for BITMAP,
+read lazily. One check then accepts iff the node's own identifier and its
+neighbors' have colors and every incident color pair is a target edge.
+
 The HASH verifier trusts the certificate's n only to derive M(n) and the
 family; it never checks that the member is injective, because unanimous
 acceptance already forces u -> L[h(Id(u))] to be a homomorphism.
@@ -18,9 +25,11 @@ acceptance already forces u -> L[h(Id(u))] to be a homomorphism.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from typing import ClassVar
 
 from .bits import BitReader, Bits, BitWriter, gamma_len
 from .errors import (
@@ -199,6 +208,7 @@ def decode_assignment_fields(
 class HashCertificate:
     """Decoded HASH payload: the triplet (claimed n, member index, colors)."""
 
+    scheme: ClassVar[SchemeTag] = SchemeTag.HASH
     claimed_n: int
     hash_index: int
     colors: tuple[int, ...]
@@ -208,6 +218,7 @@ class HashCertificate:
 class IdListCertificate:
     """Decoded IDLIST payload: (identifier, color) records as written."""
 
+    scheme: ClassVar[SchemeTag] = SchemeTag.IDLIST
     records: tuple[tuple[int, int], ...]
 
     @property
@@ -219,6 +230,7 @@ class IdListCertificate:
 class BitmapCertificate:
     """Decoded BITMAP payload: one color per identifier."""
 
+    scheme: ClassVar[SchemeTag] = SchemeTag.BITMAP
     colors: tuple[int, ...]
 
 
@@ -235,10 +247,9 @@ def encode_hash_certificate(decoded: HashCertificate, params: SchemeParams) -> C
 
 
 def decode_hash_payload(payload: Bits, params: SchemeParams) -> HashCertificate:
-    claimed_n, hash_index, colors = decode_assignment_fields(
+    return HashCertificate(*decode_assignment_fields(
         payload, params.id_policy, params.range_multiplier, params.target.vertex_count
-    )
-    return HashCertificate(claimed_n, hash_index, colors)
+    ))
 
 
 def encode_idlist_certificate(decoded: IdListCertificate, params: SchemeParams) -> Certificate:
@@ -353,39 +364,11 @@ def decode_bitmap_payload(payload: Bits, params: SchemeParams) -> BitmapCertific
     content = _bitmap_content_bits(payload, params)
     if width == 0:
         return BitmapCertificate(())
-    colors = []
-    for i in range(content // width):
-        color = _bits_at(payload, i * width, width)
-        if color >= params.target.vertex_count:
-            raise MalformedCertificate("color outside the target")
-        colors.append(color)
-    return BitmapCertificate(tuple(colors))
-
-
-def _bits_at(payload: Bits, pos: int, width: int) -> int:
-    value = 0
-    for i in range(width):
-        value = (value << 1) | payload.bit(pos + i)
-    return value
-
-
-def encode_certificate(decoded, params: SchemeParams) -> Certificate:
-    """Dispatch on the decoded form's type."""
-    if isinstance(decoded, HashCertificate):
-        return encode_hash_certificate(decoded, params)
-    if isinstance(decoded, IdListCertificate):
-        return encode_idlist_certificate(decoded, params)
-    if isinstance(decoded, BitmapCertificate):
-        return encode_bitmap_certificate(decoded, params)
-    raise InvalidParams(f"not a decoded certificate: {decoded!r}")
-
-
-def decode_certificate(cert: Certificate, params: SchemeParams):
-    if cert.scheme is SchemeTag.HASH:
-        return decode_hash_payload(cert.payload, params)
-    if cert.scheme is SchemeTag.IDLIST:
-        return decode_idlist_payload(cert.payload, params)
-    return decode_bitmap_payload(cert.payload, params)
+    reader = BitReader(payload)
+    colors = tuple(reader.read(width) for _ in range(content // width))
+    if any(color >= params.target.vertex_count for color in colors):
+        raise MalformedCertificate("color outside the target")
+    return BitmapCertificate(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +385,26 @@ def _homomorphism_or_refuse(graph: Graph, params: SchemeParams) -> tuple[int, ..
     return phi
 
 
-def _range_for_proving(graph: Graph, ids: IdAssignment, params: SchemeParams) -> int:
-    id_range = params.id_policy.evaluate(graph.vertex_count)
-    if len(ids.ids) != graph.vertex_count:
+def range_for_proving(ids: IdAssignment, count: int, policy: IdRangePolicy) -> int:
+    """M(count), once every one of the `count` identifiers lies below it."""
+    id_range = policy.evaluate(count)
+    if len(ids.ids) != count:
         raise InvalidParams("id assignment does not cover the graph")
     for i in ids.ids:
         if i >= id_range:
             raise InvalidParams(f"identifier {i} outside policy range M(n) = {id_range}")
     return id_range
+
+
+def bucket_table(
+    hash_index: int, ids: IdAssignment, values: tuple[int, ...], buckets: int
+) -> tuple[int, ...]:
+    """L: each vertex's value at the bucket its identifier hashes to, zero
+    at unused buckets."""
+    table = [0] * buckets
+    for identifier, value in zip(ids.ids, values):
+        table[eval_hash(hash_index, identifier, buckets)] = value
+    return tuple(table)
 
 
 def prove_hash(
@@ -423,17 +418,13 @@ def prove_hash(
     buckets the identifiers hash to."""
     phi = _homomorphism_or_refuse(graph, params)
     n = graph.vertex_count
-    id_range = _range_for_proving(graph, ids, params)
+    id_range = range_for_proving(ids, n, params.id_policy)
     buckets = params.bucket_count(n)
     search = perfect_hash_search(ids.id_set(), buckets, id_range)
     if stats is not None:
         stats.probes += search.probes
-    colors = [0] * buckets
-    for v in range(n):
-        colors[eval_hash(search.index, ids.id_of(v), buckets)] = phi[v]
-    return encode_hash_certificate(
-        HashCertificate(n, search.index, tuple(colors)), params
-    )
+    colors = bucket_table(search.index, ids, phi, buckets)
+    return encode_hash_certificate(HashCertificate(n, search.index, colors), params)
 
 
 def prove_idlist(
@@ -445,7 +436,7 @@ def prove_idlist(
     """One record per vertex, ascending by identifier: the identifier plus
     the vertex's color under a homomorphism."""
     phi = _homomorphism_or_refuse(graph, params)
-    _range_for_proving(graph, ids, params)
+    range_for_proving(ids, graph.vertex_count, params.id_policy)
     records = sorted((ids.id_of(v), phi[v]) for v in range(graph.vertex_count))
     return encode_idlist_certificate(IdListCertificate(tuple(records)), params)
 
@@ -458,7 +449,7 @@ def prove_bitmap(
 ) -> Certificate:
     """Color of the vertex with identifier i at position i; zero elsewhere."""
     phi = _homomorphism_or_refuse(graph, params)
-    id_range = _range_for_proving(graph, ids, params)
+    id_range = range_for_proving(ids, graph.vertex_count, params.id_policy)
     if id_range > BITMAP_MAX_RANGE:
         raise BitmapTooLarge(f"M(n) = {id_range} exceeds the 2^26 bitmap cap")
     width = params.value_width
@@ -477,79 +468,102 @@ def prove_bitmap(
 # verifiers (total on adversarial input: any malformation is a reject)
 # ---------------------------------------------------------------------------
 
+ColorLookup = Callable[[int], "int | None"]
+
+
+def hash_lookup(decoded: HashCertificate, policy: IdRangePolicy) -> ColorLookup:
+    """Identifier -> L[h(identifier)] through the claimed family member, or
+    None at or above M(claimed n). The CSP verifier shares it."""
+    id_range = policy.evaluate(decoded.claimed_n)
+    index, colors, buckets = decoded.hash_index, decoded.colors, len(decoded.colors)
+    return lambda i: colors[eval_hash(index, i, buckets)] if i < id_range else None
+
+
+def _hash_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
+    return hash_lookup(decode_hash_payload(payload, params), params.id_policy)
+
+
+def _idlist_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
+    records = decode_idlist_payload(payload, params).records
+    if any(records[i][0] >= records[i + 1][0] for i in range(len(records) - 1)):
+        return lambda identifier: None
+    return dict(records).get
+
+
+def _bitmap_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
+    width = params.value_width
+    content = _bitmap_content_bits(payload, params)
+    if width == 0:
+        return lambda identifier: 0
+    id_range = content // width
+    data, value_count = payload.data, params.target.vertex_count
+
+    def lookup(identifier: int) -> int | None:
+        if identifier >= id_range:
+            return None
+        color = 0
+        for i in range(identifier * width, (identifier + 1) * width):
+            color = (color << 1) | ((data[i >> 3] >> (7 - (i & 7))) & 1)
+        return color if color < value_count else None
+
+    return lookup
+
+
+def check(lookup: ColorLookup, view: LocalView, params: SchemeParams) -> bool:
+    """One node's decision: its own identifier and every neighbor's have a
+    color, and every incident color pair is a target edge."""
+    own_color = lookup(view.own_id)
+    if own_color is None:
+        return False
+    for neighbor in view.neighbor_ids:
+        other = lookup(neighbor)
+        if other is None or not params.pair_allowed(own_color, other):
+            return False
+    return True
+
+
+def _decide(colors_of, view: LocalView, params: SchemeParams) -> bool:
+    try:
+        lookup = colors_of(view.certificate, params)
+    except MalformedCertificate:
+        return False
+    return check(lookup, view, params)
+
 
 def verify_hash(view: LocalView, params: SchemeParams) -> bool:
     """Accept iff the payload decodes and every incident color pair, looked
     up through the claimed family member, is a target edge."""
-    try:
-        decoded = decode_hash_payload(view.certificate, params)
-        id_range = params.id_policy.evaluate(decoded.claimed_n)
-    except MalformedCertificate:
-        return False
-    except InvalidParams:
-        return False
-    buckets = len(decoded.colors)
-    if view.own_id >= id_range:
-        return False
-    own_color = decoded.colors[eval_hash(decoded.hash_index, view.own_id, buckets)]
-    for neighbor in view.neighbor_ids:
-        if neighbor >= id_range:
-            return False
-        other = decoded.colors[eval_hash(decoded.hash_index, neighbor, buckets)]
-        if not params.pair_allowed(own_color, other):
-            return False
-    return True
+    return _decide(_hash_colors, view, params)
 
 
 def verify_idlist(view: LocalView, params: SchemeParams) -> bool:
     """Accept iff records are strictly ascending, the node's own identifier
     and all neighbor identifiers occur, and incident color pairs are target
     edges."""
-    try:
-        decoded = decode_idlist_payload(view.certificate, params)
-    except MalformedCertificate:
-        return False
-    records = decoded.records
-    if any(records[i][0] >= records[i + 1][0] for i in range(len(records) - 1)):
-        return False
-    table = dict(records)
-    own_color = table.get(view.own_id)
-    if own_color is None:
-        return False
-    for neighbor in view.neighbor_ids:
-        other = table.get(neighbor)
-        if other is None or not params.pair_allowed(own_color, other):
-            return False
-    return True
+    return _decide(_idlist_colors, view, params)
 
 
 def verify_bitmap(view: LocalView, params: SchemeParams) -> bool:
     """Accept iff the payload is one color per identifier of some policy
     range and every incident color pair is a target edge."""
-    payload = view.certificate
-    width = params.value_width
-    try:
-        content = _bitmap_content_bits(payload, params)
-    except MalformedCertificate:
-        return False
-    if width == 0:
-        return not view.neighbor_ids
-    id_range = content // width
-    if view.own_id >= id_range:
-        return False
-    own_color = _bits_at(payload, view.own_id * width, width)
-    if own_color >= params.target.vertex_count:
-        return False
-    for neighbor in view.neighbor_ids:
-        if neighbor >= id_range:
-            return False
-        other = _bits_at(payload, neighbor * width, width)
-        if other >= params.target.vertex_count:
-            return False
-        if not params.pair_allowed(own_color, other):
-            return False
-    return True
+    return _decide(_bitmap_colors, view, params)
 
+
+# ---------------------------------------------------------------------------
+# dispatch on the scheme tag
+# ---------------------------------------------------------------------------
+
+_ENCODERS = {
+    SchemeTag.HASH: encode_hash_certificate,
+    SchemeTag.IDLIST: encode_idlist_certificate,
+    SchemeTag.BITMAP: encode_bitmap_certificate,
+}
+
+_DECODERS = {
+    SchemeTag.HASH: decode_hash_payload,
+    SchemeTag.IDLIST: decode_idlist_payload,
+    SchemeTag.BITMAP: decode_bitmap_payload,
+}
 
 _VERIFIERS = {
     SchemeTag.HASH: verify_hash,
@@ -562,6 +576,18 @@ _PROVERS = {
     SchemeTag.IDLIST: prove_idlist,
     SchemeTag.BITMAP: prove_bitmap,
 }
+
+
+def encode_certificate(decoded, params: SchemeParams) -> Certificate:
+    """Dispatch on the decoded form's scheme tag."""
+    encoder = _ENCODERS.get(getattr(decoded, "scheme", None))
+    if encoder is None:
+        raise InvalidParams(f"not a decoded certificate: {decoded!r}")
+    return encoder(decoded, params)
+
+
+def decode_certificate(cert: Certificate, params: SchemeParams):
+    return _DECODERS[cert.scheme](cert.payload, params)
 
 
 def verify_certificate(view: LocalView, scheme: SchemeTag, params: SchemeParams) -> bool:

@@ -1,6 +1,6 @@
 import pytest
 
-from globalcert import Graph, IdAssignment, clique, cycle
+from globalcert import IdAssignment, clique, cycle
 
 
 @pytest.fixture
@@ -21,13 +21,6 @@ def c4():
 @pytest.fixture
 def c5():
     return cycle(5)
-
-
-def all_labeled_graphs(n):
-    """All 2^C(n,2) labeled simple graphs on n vertices."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for mask in range(1 << len(pairs)):
-        yield Graph.of(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def ids_seq(values, id_range):

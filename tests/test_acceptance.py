@@ -45,7 +45,7 @@ from globalcert import (
 from globalcert.harness import BenchSpec, bench_sizes
 from globalcert.schemes import HashCertificate, encode_certificate
 
-from conftest import all_labeled_graphs
+from labeled_graphs import all_labeled_graphs
 from test_hashing import np_eval_hash, GOLDEN
 
 K2 = clique(2)

@@ -44,6 +44,27 @@ def test_write_read_round_trip(fields):
     reader.expect_zero_padding()
 
 
+@given(st.data())
+def test_reads_at_any_offset_match_writes(data):
+    # fields of 0..130 bits after a prefix of any length, then a tail that
+    # leaves a partial last byte, so fields straddle byte and window edges
+    widths = [data.draw(st.integers(0, 1100))]
+    widths += data.draw(st.lists(st.integers(0, 130), max_size=12))
+    tail = data.draw(st.integers(1, 7))
+    if (sum(widths) + tail) % 8 == 0:
+        tail += 1
+    widths.append(tail)
+    values = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
+    writer = BitWriter()
+    for v, w in zip(values, widths):
+        writer.write(v, w)
+    bits = writer.getvalue()
+    assert bits.length % 8
+    reader = BitReader(bits)
+    assert [reader.read(w) for w in widths] == values
+    assert reader.bits_left() == 0
+
+
 def test_write_rejects_oversized_value():
     with pytest.raises(InvalidParams):
         BitWriter().write(4, 2)

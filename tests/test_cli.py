@@ -92,6 +92,34 @@ class TestPipelines:
         assert run_cli("verify", "--cert", str(workspace / "missing.bin")) == 2
         assert run_cli("prove", "--scheme", "hash", "--out", "x") == 2  # no input
 
+    def test_unexpected_exception_exits_2_with_one_line(self, workspace, capsys, monkeypatch):
+        import globalcert.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "_cmd_gen", broken)
+        assert run_cli("gen", "--n", "4") == 2
+        assert capsys.readouterr().err == "RuntimeError: boom\n"
+
+    def test_long_path_prove_is_not_a_reject_and_prints_no_traceback(self, workspace):
+        from globalcert import Graph, IdAssignment, serialize_graph
+
+        n = 1500
+        path = workspace / "path.txt"
+        path.write_text(serialize_graph(
+            Graph.of(n, [(v, v + 1) for v in range(n - 1)]),
+            IdAssignment(tuple(range(n)), n),
+        ))
+        prove = subprocess.run(
+            [sys.executable, "-m", "globalcert", "prove", "--scheme", "idlist",
+             "--graph", str(path), "--target", "K2", "--out", str(workspace / "c.bin")],
+            capture_output=True, text=True,
+        )
+        assert prove.returncode != 1
+        assert "Traceback" not in prove.stderr
+        assert len(prove.stderr.splitlines()) <= 1
+
     def test_unusable_tag_byte_rejects_everywhere(self, workspace, capsys):
         graph = gen_graph(workspace)
         cert = workspace / "c.bin"

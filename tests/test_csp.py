@@ -30,7 +30,7 @@ from globalcert import (
 from globalcert.bits import gamma_len
 from globalcert.schemes import HashCertificate, encode_certificate
 
-from conftest import all_labeled_graphs
+from labeled_graphs import all_labeled_graphs
 
 K2 = clique(2)
 K3 = clique(3)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from globalcert import (
 )
 from globalcert.schemes import decode_hash_payload
 
-from conftest import all_labeled_graphs
+from labeled_graphs import all_labeled_graphs
 
 K2 = clique(2)
 K3 = clique(3)
@@ -238,6 +239,44 @@ class TestCspAudit:
             assert gr.property_holds == cr.property_holds
             assert gr.certificate_accepted_exists == cr.certificate_accepted_exists
             assert gr.certificates_tried == cr.certificates_tried
+            assert gr.witness == cr.witness
+
+    def test_unary_and_ternary_constraints_match_brute_force(self):
+        # x0 = 1 and (x0, x1, x2) in {(1, 0, 0), (0, 1, 1)}: a claim-1
+        # certificate gives all three variables one value, so the first
+        # witness lies deeper, and the ternary relation is not symmetric
+        from globalcert import CspConstraint, CspInstance, csp_view, verify_csp_variable
+        from globalcert.hashing import family_size
+        from globalcert.schemes import encode_assignment_fields
+
+        policy = IdRangePolicy.fixed(8)
+        params = CspParams(domain_size=2, id_policy=policy)
+        inst = CspInstance(
+            3, 2, IdAssignment((5, 2, 7), 8),
+            (
+                CspConstraint((0,), frozenset({(1,)})),
+                CspConstraint((0, 1, 2), frozenset({(1, 0, 0), (0, 1, 1)})),
+            ),
+        )
+        report = audit_csp_soundness(inst, params, AuditBounds(max_claimed_n=3))
+
+        def canonical_space():
+            for claim in range(1, 4):
+                for index in range(family_size(claim, 8)):
+                    for values in itertools.product(range(2), repeat=claim):
+                        yield encode_assignment_fields(claim, index, values, policy, 1, 2)
+
+        tried = 0
+        for payload in canonical_space():
+            tried += 1
+            if all(verify_csp_variable(csp_view(inst, v, payload), params) for v in range(3)):
+                break
+        else:
+            payload = None
+        assert payload is not None and tried > 2 * family_size(1, 8)
+        assert report.property_holds and report.certificate_accepted_exists
+        assert report.certificates_tried == tried
+        assert report.witness.payload == payload
 
     def test_unsatisfiable_instance(self):
         from globalcert import CspConstraint, CspInstance
