@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / all nodes accept; 1 some node rejects or an audit
 finds a certificate/property mismatch; 2 usage, input or unexpected error;
-3 prover error (NotSatisfiable, NoPerfectHash, BitmapTooLarge).
+3 prover error (NotSatisfiable, NoPerfectHash, BitmapTooLarge) or a search
+over its bound (TooLarge: a solver budget or an audit's certificate space).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import (
     MalformedCertificate,
     NoPerfectHash,
     NotSatisfiable,
+    TooLarge,
 )
 from .graphs import (
     BUILTIN_TARGETS,
@@ -31,7 +33,7 @@ from .harness import BenchSpec, bench_sizes, default_bench_specs, rows_to_csv, r
 from .oracle import AuditBounds, audit_soundness
 from .schemes import Certificate, ProveStats, SchemeParams, SchemeTag, prove_certificate
 
-_PROVER_ERRORS = (NotSatisfiable, NoPerfectHash, BitmapTooLarge)
+_PROVER_ERRORS = (NotSatisfiable, NoPerfectHash, BitmapTooLarge, TooLarge)
 
 
 def _load_target(name_or_path: str):

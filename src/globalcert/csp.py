@@ -1,6 +1,12 @@
-"""Constraint satisfaction: instances, the graph translation, a desk-scale
-solver, and the hash-compressed certification scheme where each variable
-verifies its incident constraints locally.
+"""Constraint satisfaction: instances, the graph translation, the one
+backtracking search that both solvers share, and the hash-compressed
+certification scheme where each variable verifies its incident constraints
+locally.
+
+`backtrack` is iterative: it keeps the partial assignment in a list and
+moves a cursor over the variables, so its depth is not bounded by Python's
+recursion limit. The CSP scheme proves, encodes, decodes and looks up
+values through the same hash path as the graph scheme in `schemes`.
 """
 
 from __future__ import annotations
@@ -12,18 +18,9 @@ from fractions import Fraction
 from .bits import Bits
 from .errors import InvalidId, InvalidParams, MalformedCertificate, NotSatisfiable, ParseError, TooLarge
 from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph
-from .hashing import perfect_hash_search
-from .schemes import (
-    Certificate,
-    HashCertificate,
-    ProveStats,
-    SchemeTag,
-    bucket_table,
-    decode_assignment_fields,
-    encode_assignment_fields,
-    hash_lookup,
-    range_for_proving,
-)
+from .hashing import perfect_hash_search  # noqa: F401  kept: perfbench/tracing.py patches it here
+from .schemes import Certificate, ProveStats, hash_colors, prove_hash_table
+from .schemes import decode_assignment_fields, encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
 
 
 @dataclass(frozen=True)
@@ -134,38 +131,48 @@ def graph_to_csp(graph: Graph, ids: IdAssignment, target: TargetGraph) -> CspIns
     return CspInstance(graph.vertex_count, target.vertex_count, ids, constraints)
 
 
+def backtrack(variable_count: int, domain_size: int, consistent, budget: int):
+    """Lexicographically first assignment of values 0..domain_size-1 to
+    variables 0..variable_count-1 such that `consistent(var, values)` holds
+    after each `values[var]` is set, or None.
+
+    Tries variables in index order and values ascending; each value tried
+    counts as one visited node, and more than `budget` of them raise
+    TooLarge. `consistent` may read only `values[0..var]`.
+    """
+    values = [-1] * variable_count
+    visited = 0
+    var = 0
+    while 0 <= var < variable_count:
+        value = values[var] + 1
+        if value == domain_size:
+            values[var] = -1
+            var -= 1
+            continue
+        visited += 1
+        if visited > budget:
+            raise TooLarge(f"search budget of {budget} nodes exhausted")
+        values[var] = value
+        if consistent(var, values):
+            var += 1
+    return None if var < 0 else tuple(values)
+
+
 def solve_csp(instance: CspInstance, budget: int = 10**7) -> tuple[int, ...] | None:
-    """Lexicographically first satisfying assignment by backtracking, or
-    None. Raises TooLarge when the search exceeds `budget` visited nodes."""
+    """Lexicographically first satisfying assignment, or None; each
+    constraint is tested once its last variable is set. Raises TooLarge
+    when the search exceeds `budget` visited nodes."""
     by_last_var: list[list[CspConstraint]] = [[] for _ in range(instance.variable_count)]
     for ct in instance.constraints:
         by_last_var[max(ct.scope)].append(ct)
-    assignment: list[int] = []
-    visited = 0
 
-    def consistent(var: int) -> bool:
+    def consistent(var: int, values: list[int]) -> bool:
         return all(
-            tuple(assignment[w] for w in ct.scope) in ct.relation
+            tuple(values[w] for w in ct.scope) in ct.relation
             for ct in by_last_var[var]
         )
 
-    def descend(var: int) -> bool:
-        nonlocal visited
-        if var == instance.variable_count:
-            return True
-        for value in range(instance.domain_size):
-            visited += 1
-            if visited > budget:
-                raise TooLarge("CSP search budget exhausted")
-            assignment.append(value)
-            if consistent(var) and descend(var + 1):
-                return True
-            assignment.pop()
-        return False
-
-    if descend(0):
-        return tuple(assignment)
-    return None
+    return backtrack(instance.variable_count, instance.domain_size, consistent, budget)
 
 
 def prove_csp(
@@ -180,31 +187,16 @@ def prove_csp(
     solution = solve_csp(instance)
     if solution is None:
         raise NotSatisfiable("CSP has no solution")
-    n = instance.variable_count
-    id_range = range_for_proving(instance.ids, n, params.id_policy)
-    buckets = params.bucket_count(n)
-    search = perfect_hash_search(instance.ids.id_set(), buckets, id_range)
-    if stats is not None:
-        stats.probes += search.probes
-    values = bucket_table(search.index, instance.ids, solution, buckets)
-    payload = encode_assignment_fields(
-        n, search.index, values, params.id_policy, params.range_multiplier,
-        params.domain_size,
-    )
-    return Certificate(SchemeTag.HASH, payload)
+    return prove_hash_table(solution, instance.ids, params, stats)
 
 
 def verify_csp_variable(view: CspView, params: CspParams) -> bool:
     """Accept iff the payload decodes and, for every incident constraint,
     the tuple of values found at the scope identifiers' buckets is allowed."""
     try:
-        decoded = HashCertificate(*decode_assignment_fields(
-            view.certificate, params.id_policy, params.range_multiplier,
-            params.domain_size,
-        ))
+        lookup = hash_colors(view.certificate, params)
     except MalformedCertificate:
         return False
-    lookup = hash_lookup(decoded, params.id_policy)
     if lookup(view.own_id) is None:
         return False
     # no relation row holds the None of an identifier outside M(claimed n)

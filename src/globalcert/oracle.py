@@ -7,23 +7,15 @@ exists iff the property holds).
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 
-from .csp import CspInstance, CspParams, edge_relation, solve_csp
+from .csp import CspInstance, CspParams, backtrack, edge_relation, solve_csp
 from .errors import InvalidParams, TooLarge
 from .graphs import Graph, IdAssignment, TargetGraph, local_view
 from .hashing import _fin, _mix_input, family_size
-from .schemes import (
-    Certificate,
-    HashCertificate,
-    SchemeParams,
-    SchemeTag,
-    encode_assignment_fields,
-    encode_hash_certificate,
-    verify_certificate,
-)
+from .schemes import Certificate, HashCertificate, SchemeParams, SchemeTag, encode_hash_certificate, verify_certificate
+from .schemes import encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
 
 
 def find_homomorphism(
@@ -31,35 +23,26 @@ def find_homomorphism(
 ) -> tuple[int, ...] | None:
     """Lexicographically first homomorphism graph -> target, or None.
 
-    Backtracks over vertices in index order, values ascending; raises
-    TooLarge after `budget` visited search nodes, so satisfiable instances
-    far beyond the worst-case bound still solve quickly.
+    Runs the one iterative search, `csp.backtrack`, over vertices in index
+    order and values ascending, testing each vertex's edges to lower-indexed
+    neighbors against the target's edge relation (the relation
+    `graph_to_csp` uses); raises TooLarge after `budget` visited search
+    nodes, so satisfiable instances far beyond the worst-case bound still
+    solve quickly.
     """
-    n = graph.vertex_count
-    assigned: list[int] = []
-    visited = 0
+    allowed = edge_relation(target)
     back_neighbors = [
-        [u for u in graph.neighbors(v) if u < v] for v in range(n)
+        [u for u in graph.neighbors(v) if u < v] for v in range(graph.vertex_count)
     ]
 
-    def descend(v: int) -> bool:
-        nonlocal visited
-        if v == n:
-            return True
-        for value in range(target.vertex_count):
-            visited += 1
-            if visited > budget:
-                raise TooLarge("homomorphism search budget exhausted")
-            if all(target.has_edge(value, assigned[u]) for u in back_neighbors[v]):
-                assigned.append(value)
-                if descend(v + 1):
-                    return True
-                assigned.pop()
-        return False
+    def consistent(v: int, values: list[int]) -> bool:
+        value = values[v]
+        for u in back_neighbors[v]:
+            if (value, values[u]) not in allowed:
+                return False
+        return True
 
-    if descend(0):
-        return tuple(assigned)
-    return None
+    return backtrack(graph.vertex_count, target.vertex_count, consistent, budget)
 
 
 def exists_homomorphism(graph: Graph, target: TargetGraph) -> bool:
@@ -117,37 +100,43 @@ class AuditReport:
     witness: Certificate | int | None
 
 
-def _hash_claim_plan(n_values: int, policy, multiplier, bounds: AuditBounds):
-    """Valid (claim, id_range, buckets, family size) rows; raises TooLarge
-    when the decodable certificates they hold exceed the bounds."""
-    plan = []
-    space = 0
+def _claims(policy, bounds: AuditBounds):
+    """(claim, M(claim)) for every claim from 1 to bounds.max_claimed_n that
+    the policy defines."""
     for claim in range(1, bounds.max_claimed_n + 1):
         try:
             id_range = policy.evaluate(claim)
         except InvalidParams:
             continue
-        buckets = math.ceil(multiplier * claim)
+        yield claim, id_range
+
+
+def _hash_claim_plan(params, bounds: AuditBounds):
+    """Valid (claim, id_range, buckets, family size) rows; raises TooLarge
+    when the decodable certificates they hold exceed the bounds."""
+    plan = []
+    space = 0
+    for claim, id_range in _claims(params.id_policy, bounds):
+        buckets = params.bucket_count(claim)
         if buckets > id_range:
             continue
         size = family_size(buckets, id_range)
         plan.append((claim, id_range, buckets, size))
-        space += size * n_values**buckets
+        space += size * params.domain_size**buckets
     if space > bounds.max_space:
         raise TooLarge(f"certificate space {space} exceeds {bounds.max_space}")
     return plan
 
 
-def _enumerate_hash_space(
-    n_values, params, bounds, variable_ids, scopes, relations, encode
-):
+def _enumerate_hash_space(params, bounds, variable_ids, scopes, relations):
     """Enumerate hash certificates (claim, index, entries) in canonical order
     until one satisfies every scope: the entries at the buckets of a scope's
     variables, given as positions in `variable_ids`, form a tuple of its
     relation. Returns the accepted certificate or None, the count tried,
-    and the canonically first certificate (None for an empty space), each
-    turned into a Certificate by `encode`."""
-    plan = _hash_claim_plan(n_values, params.id_policy, params.range_multiplier, bounds)
+    and the canonically first certificate (None for an empty space).
+    `params` is SchemeParams or CspParams."""
+    n_values = params.domain_size
+    plan = _hash_claim_plan(params, bounds)
     mixed = [_mix_input(i) for i in variable_ids]
     tried = 0
     for claim, id_range, buckets, size in plan:
@@ -175,11 +164,13 @@ def _enumerate_hash_space(
                     break
             if survivors:
                 tried += entries.index(survivors[0]) + 1
-                return encode(HashCertificate(claim, index, survivors[0])), tried, None
+                found = HashCertificate(claim, index, survivors[0])
+                return encode_hash_certificate(found, params), tried, None
             tried += entry_space
     if not plan:
         return None, tried, None
-    return None, tried, encode(HashCertificate(plan[0][0], 0, (0,) * plan[0][2]))
+    first = HashCertificate(plan[0][0], 0, (0,) * plan[0][2])
+    return None, tried, encode_hash_certificate(first, params)
 
 
 def audit_soundness(
@@ -195,9 +186,7 @@ def audit_soundness(
     if scheme is SchemeTag.HASH:
         edges = sorted(graph.edges)
         found, tried, first = _enumerate_hash_space(
-            params.target.vertex_count, params, bounds, ids.ids, edges,
-            [edge_relation(params.target)] * len(edges),
-            lambda decoded: encode_hash_certificate(decoded, params),
+            params, bounds, ids.ids, edges, [edge_relation(params.target)] * len(edges)
         )
     elif scheme is SchemeTag.IDLIST:
         found, tried, first = _enumerate_idlist(graph, ids, params, bounds)
@@ -231,7 +220,6 @@ def _enumerate_idlist(graph, ids, params: SchemeParams, bounds):
     from .schemes import IdListCertificate, encode_idlist_certificate
 
     n_values = params.target.vertex_count
-    policy = params.id_policy
     vertex_ids = frozenset(ids.ids)
     allowed = edge_relation(params.target)
     # per identifier, the other endpoints it must be color-compatible with
@@ -242,11 +230,7 @@ def _enumerate_idlist(graph, ids, params: SchemeParams, bounds):
 
     plan = []
     space = 0
-    for claim in range(1, bounds.max_claimed_n + 1):
-        try:
-            id_range = policy.evaluate(claim)
-        except InvalidParams:
-            continue
+    for claim, id_range in _claims(params.id_policy, bounds):
         record_width = (id_range - 1).bit_length() + params.value_width
         if record_width == 0 and claim > 1:
             continue  # the decoder rejects oversized zero-width claims
@@ -316,15 +300,7 @@ def _enumerate_bitmap(graph, ids, params: SchemeParams, bounds):
     edge_ids = [(ids.id_of(u), ids.id_of(v)) for u, v in sorted(graph.edges)]
     allowed = edge_relation(params.target)
 
-    ranges = []
-    for claim in range(1, bounds.max_claimed_n + 1):
-        try:
-            id_range = params.id_policy.evaluate(claim)
-        except InvalidParams:
-            continue
-        if id_range not in ranges:
-            ranges.append(id_range)
-    ranges.sort()
+    ranges = sorted({id_range for _, id_range in _claims(params.id_policy, bounds)})
 
     if width == 0:
         # one empty payload; every node checks only that it has no neighbors
@@ -371,10 +347,9 @@ def audit_csp_soundness(
     incident constraints."""
     property_holds = solve_csp(instance) is not None
     found, tried, first = _enumerate_hash_space(
-        params.domain_size, params, bounds, instance.ids.ids,
+        params, bounds, instance.ids.ids,
         [ct.scope for ct in instance.constraints],
         [ct.relation for ct in instance.constraints],
-        lambda decoded: _csp_certificate(decoded, params),
     )
     from .csp import csp_view, verify_csp_variable
 
@@ -386,11 +361,3 @@ def audit_csp_soundness(
             if not verify_csp_variable(csp_view(instance, v, cert.payload), params)
         ),
     )
-
-
-def _csp_certificate(decoded: HashCertificate, params: CspParams) -> Certificate:
-    payload = encode_assignment_fields(
-        decoded.claimed_n, decoded.hash_index, decoded.colors, params.id_policy,
-        params.range_multiplier, params.domain_size,
-    )
-    return Certificate(SchemeTag.HASH, payload)

@@ -111,14 +111,48 @@ class TestPipelines:
             Graph.of(n, [(v, v + 1) for v in range(n - 1)]),
             IdAssignment(tuple(range(n)), n),
         ))
+        cert = workspace / "c.bin"
         prove = subprocess.run(
             [sys.executable, "-m", "globalcert", "prove", "--scheme", "idlist",
-             "--graph", str(path), "--target", "K2", "--out", str(workspace / "c.bin")],
+             "--graph", str(path), "--target", "K2", "--out", str(cert)],
             capture_output=True, text=True,
         )
-        assert prove.returncode != 1
-        assert "Traceback" not in prove.stderr
-        assert len(prove.stderr.splitlines()) <= 1
+        assert prove.returncode == 0, prove.stderr
+        assert prove.stderr == ""
+        verify = subprocess.run(
+            [sys.executable, "-m", "globalcert", "verify", "--graph", str(path),
+             "--cert", str(cert), "--target", "K2"],
+            capture_output=True, text=True,
+        )
+        assert verify.returncode == 0, verify.stderr
+        assert verify.stdout.count("accept") == n
+
+    def test_solver_over_budget_exits_3_with_one_line(self, workspace, capsys, monkeypatch):
+        import globalcert.oracle as oracle
+        from globalcert import TooLarge
+
+        def over_budget(graph, target, budget=10**7):
+            raise TooLarge("search budget of 10000000 nodes exhausted")
+
+        monkeypatch.setattr(oracle, "find_homomorphism", over_budget)
+        graph = gen_graph(workspace)
+        capsys.readouterr()
+        code = run_cli(
+            "prove", "--scheme", "idlist", "--graph", str(graph),
+            "--target", "K2", "--id-range", "poly:2", "--out", str(workspace / "c.bin"),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "TooLarge: search budget of 10000000 nodes exhausted\n"
+
+    def test_audit_over_max_space_exits_3(self, workspace, capsys):
+        graph = gen_graph(workspace, n=4)
+        capsys.readouterr()
+        code = run_cli(
+            "audit", "--graph", str(graph), "--target", "K2",
+            "--id-range", "poly:2", "--max-space", "1",
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("TooLarge: certificate space")
 
     def test_unusable_tag_byte_rejects_everywhere(self, workspace, capsys):
         graph = gen_graph(workspace)

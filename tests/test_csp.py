@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from globalcert import (
+    BUILTIN_TARGETS,
     CspConstraint,
     CspInstance,
     CspParams,
@@ -18,6 +20,7 @@ from globalcert import (
     cycle,
     exists_homomorphism,
     family_size,
+    find_homomorphism,
     graph_to_csp,
     local_view,
     parse_csp,
@@ -90,11 +93,71 @@ class TestSolver:
         with pytest.raises(TooLarge):
             solve_csp(inst2, budget=10**5)
 
+    def test_long_chain_solves_without_recursion(self):
+        n = 1500
+        step = frozenset((a, (a + 1) % 3) for a in range(3))
+        chain = tuple(CspConstraint((v, v + 1), step) for v in range(n - 1))
+        inst = CspInstance(n, 3, IdAssignment(tuple(range(n)), n), chain)
+        assert solve_csp(inst) == tuple(v % 3 for v in range(n))
+
     def test_agrees_with_homomorphism_oracle(self):
         for graph in all_labeled_graphs(4):
             for target in (K2, K3):
                 inst = graph_to_csp(graph, ids8(4), target)
                 assert (solve_csp(inst) is not None) == exists_homomorphism(graph, target)
+
+
+C5 = cycle(5)
+
+
+class TestSharedSearch:
+    """find_homomorphism and solve_csp run one search: the same result and
+    the same budget threshold (visited nodes) as each solver had on its own."""
+
+    @pytest.mark.parametrize(
+        "graph, target, budget, result",
+        [
+            (K3, K2, 10, None),
+            (cycle(5), K2, 18, None),
+            (clique(4), K3, 48, None),
+            (cycle(5), K3, 9, (0, 1, 0, 1, 2)),
+            (clique(4), C5, 80, None),
+            (cycle(7), C5, 38, (0, 1, 0, 1, 2, 3, 4)),
+        ],
+        ids=["K3-K2", "C5-K2", "K4-K3", "C5-K3", "K4-C5", "C7-C5"],
+    )
+    def test_result_and_budget_threshold(self, graph, target, budget, result):
+        ids = IdAssignment(tuple(range(graph.vertex_count)), graph.vertex_count)
+        solvers = (
+            lambda b: find_homomorphism(graph, target, budget=b),
+            lambda b: solve_csp(graph_to_csp(graph, ids, target), budget=b),
+        )
+        for solve in solvers:
+            with pytest.raises(TooLarge):
+                solve(budget - 1)
+            assert solve(budget) == result
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_first_coloring_in_product_order(self, data):
+        from globalcert import Graph
+
+        n = data.draw(st.integers(1, 6))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        target = BUILTIN_TARGETS[data.draw(st.sampled_from(["K2", "K3", "C5"]))]
+        first = next(
+            (
+                colors
+                for colors in itertools.product(range(target.vertex_count), repeat=n)
+                if all(target.has_edge(colors[u], colors[v]) for u, v in edges)
+            ),
+            None,
+        )
+        graph = Graph.of(n, edges)
+        assert find_homomorphism(graph, target) == first
+        ids = IdAssignment(tuple(range(n)), n)
+        assert solve_csp(graph_to_csp(graph, ids, target)) == first
 
 
 class TestValidation:

@@ -52,6 +52,11 @@ class TestHomomorphism:
         assert find_homomorphism(cycle(5), K3) == (0, 1, 0, 1, 2)
         assert find_homomorphism(K3, K2) is None
 
+    def test_long_path_solves_without_recursion(self):
+        n = 1500
+        path = Graph.of(n, [(v, v + 1) for v in range(n - 1)])
+        assert find_homomorphism(path, K2) == tuple(v % 2 for v in range(n))
+
     def test_budget_guard(self):
         # K4 into a 3-clique fails only after traversing the whole tree
         with pytest.raises(TooLarge):
