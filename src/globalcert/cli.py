@@ -116,9 +116,10 @@ def _cmd_verify(args) -> int:
     try:
         cert = Certificate.from_bytes(blob)
     except MalformedCertificate:
-        # unusable tag byte: no node can accept such a certificate
         cert = None
-    if cert is None:
+    # an unusable tag byte, or a CSP certificate not in the hash layout: no
+    # node can accept it
+    if cert is None or (args.csp is not None and cert.scheme is not SchemeTag.HASH):
         if args.csp is not None:
             with open(args.csp, encoding="utf-8") as handle:
                 all_ids = parse_csp(handle.read()).ids.ids

@@ -158,21 +158,31 @@ def backtrack(variable_count: int, domain_size: int, consistent, budget: int):
     return None if var < 0 else tuple(values)
 
 
-def solve_csp(instance: CspInstance, budget: int = 10**7) -> tuple[int, ...] | None:
-    """Lexicographically first satisfying assignment, or None; each
-    constraint is tested once its last variable is set. Raises TooLarge
-    when the search exceeds `budget` visited nodes."""
-    by_last_var: list[list[CspConstraint]] = [[] for _ in range(instance.variable_count)]
-    for ct in instance.constraints:
-        by_last_var[max(ct.scope)].append(ct)
+def solve_scopes(variable_count: int, domain_size: int, scopes, relations, budget: int):
+    """Lexicographically first assignment that puts every scope's values in
+    its relation, or None; a scope may name a variable twice and is tested
+    once its last variable is set. Raises TooLarge past `budget` visited
+    nodes."""
+    by_last_var: list[list] = [[] for _ in range(variable_count)]
+    for scope, relation in zip(scopes, relations):
+        by_last_var[max(scope)].append((scope, relation))
 
     def consistent(var: int, values: list[int]) -> bool:
         return all(
-            tuple(values[w] for w in ct.scope) in ct.relation
-            for ct in by_last_var[var]
+            tuple(values[w] for w in scope) in relation
+            for scope, relation in by_last_var[var]
         )
 
-    return backtrack(instance.variable_count, instance.domain_size, consistent, budget)
+    return backtrack(variable_count, domain_size, consistent, budget)
+
+
+def solve_csp(instance: CspInstance, budget: int = 10**7) -> tuple[int, ...] | None:
+    """Lexicographically first satisfying assignment, or None."""
+    cts = instance.constraints
+    return solve_scopes(
+        instance.variable_count, instance.domain_size,
+        [ct.scope for ct in cts], [ct.relation for ct in cts], budget,
+    )
 
 
 def prove_csp(

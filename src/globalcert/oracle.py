@@ -1,16 +1,17 @@
 """Ground truth by brute force: homomorphism search, bipartiteness, and
-exhaustive audits that enumerate a scheme's whole certificate space to
-check the certification equivalence (a certificate accepted everywhere
-exists iff the property holds).
+exhaustive audits that count a scheme's whole certificate space to check
+the certification equivalence (a certificate accepted everywhere exists iff
+the property holds): rather than visiting each certificate, an audit solves
+the quotient on the positions (buckets or identifiers) the variables read,
+and ranks its first solution in canonical order.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .csp import CspInstance, CspParams, backtrack, edge_relation, solve_csp
+from .csp import CspInstance, CspParams, backtrack, edge_relation, solve_csp, solve_scopes
 from .errors import InvalidParams, TooLarge
 from .graphs import Graph, IdAssignment, TargetGraph, local_view
 from .hashing import _fin, _mix_input, family_size
@@ -86,10 +87,12 @@ class AuditBounds:
 class AuditReport:
     """Outcome of one exhaustive audit.
 
-    certificates_tried counts enumerated certificates up to and including
-    the first accepted one, so it equals the whole space exactly when
-    nothing is accepted. witness is the first accepted certificate in
-    canonical order (claimed n, then index, then entries ascending), or,
+    certificates_tried counts certificates in canonical order (claimed n,
+    then the hash index, then entries or records in itertools.product
+    order) up to and including the first accepted one, so it equals the
+    whole space exactly when nothing is accepted; it is computed from the
+    first accepted certificate's rank, not by visiting each certificate.
+    witness is the first accepted certificate in that order, or,
     when nothing is accepted, the identifier of the lowest-id rejecting
     node for the canonically first certificate (None for an empty space).
     """
@@ -128,44 +131,58 @@ def _hash_claim_plan(params, bounds: AuditBounds):
     return plan
 
 
-def _enumerate_hash_space(params, bounds, variable_ids, scopes, relations):
-    """Enumerate hash certificates (claim, index, entries) in canonical order
-    until one satisfies every scope: the entries at the buckets of a scope's
-    variables, given as positions in `variable_ids`, form a tuple of its
-    relation. Returns the accepted certificate or None, the count tried,
-    and the canonically first certificate (None for an empty space).
-    `params` is SchemeParams or CspParams."""
+def _first_accepted(positions, width, n_values, scopes, relations):
+    """({position: entry} for the positions in use, rank) of the first
+    vector in itertools.product(range(n_values), repeat=width) that puts
+    every scope's entries in its relation, variable v reading positions[v];
+    None if there is none. The positions in use are solved in ascending
+    order (a scope may name one twice); the others hold 0, so the rank is
+    sum(entry * n_values**(width-1-position))."""
+    used = sorted(set(positions))
+    slot = {p: i for i, p in enumerate(used)}
+    quotient = [tuple(slot[positions[v]] for v in scope) for scope in scopes]
+    # more nodes than the whole search tree has: TooLarge comes only from
+    # the certificate-space checks against max_space
+    budget = 2 * n_values ** len(used) + len(used)
+    solution = solve_scopes(len(used), n_values, quotient, relations, budget)
+    if solution is None:
+        return None
+    entries = dict(zip(used, solution))
+    return entries, sum(v * n_values ** (width - 1 - p) for p, v in entries.items())
+
+
+def _hash_space(params, bounds, variable_ids, scopes, relations):
+    """First accepted hash certificate (claim, index, entries) in canonical
+    order, where the entries at the buckets of a scope's variables, given as
+    positions in `variable_ids`, form a tuple of its relation. Returns the
+    accepted certificate or None, the count tried, and the canonically first
+    certificate (None for an empty space). `params` is SchemeParams or
+    CspParams."""
     n_values = params.domain_size
     plan = _hash_claim_plan(params, bounds)
     mixed = [_mix_input(i) for i in variable_ids]
+    # whether a member has a solution depends only on which variables share
+    # a bucket: unsolvable patterns, each variable's bucket replaced by the
+    # first variable in that bucket
+    unsolvable = set()
     tried = 0
     for claim, id_range, buckets, size in plan:
         entry_space = n_values**buckets
         if any(i >= id_range for i in variable_ids):
             tried += size * entry_space  # every node rejects out-of-range ids
             continue
-        entries = list(itertools.product(range(n_values), repeat=buckets))
         for index in range(size):
             salt = _fin(index)
             b = [_fin(m ^ salt) % buckets for m in mixed]
-            # filter scope by scope; order is kept, so the first survivor
-            # is the first accepted entry vector
-            survivors = entries
-            for scope, relation in zip(scopes, relations):
-                if len(scope) == 2:
-                    x, y = b[scope[0]], b[scope[1]]
-                    survivors = [e for e in survivors if (e[x], e[y]) in relation]
-                else:
-                    at = [b[p] for p in scope]
-                    survivors = [
-                        e for e in survivors if tuple(e[x] for x in at) in relation
-                    ]
-                if not survivors:
-                    break
-            if survivors:
-                tried += entries.index(survivors[0]) + 1
-                found = HashCertificate(claim, index, survivors[0])
-                return encode_hash_certificate(found, params), tried, None
+            pattern = tuple(map(b.index, b))
+            if pattern not in unsolvable:
+                found = _first_accepted(b, buckets, n_values, scopes, relations)
+                if found is not None:
+                    entries, rank = found
+                    colors = tuple(entries.get(p, 0) for p in range(buckets))
+                    cert = encode_hash_certificate(HashCertificate(claim, index, colors), params)
+                    return cert, tried + rank + 1, None
+                unsolvable.add(pattern)
             tried += entry_space
     if not plan:
         return None, tried, None
@@ -180,18 +197,12 @@ def audit_soundness(
     params: SchemeParams,
     bounds: AuditBounds = AuditBounds(),
 ) -> AuditReport:
-    """Enumerate every decodable certificate of the scheme within bounds and
+    """Search every decodable certificate of the scheme within bounds and
     report whether some certificate is accepted by every node."""
     property_holds = exists_homomorphism(graph, params.target)
-    if scheme is SchemeTag.HASH:
-        edges = sorted(graph.edges)
-        found, tried, first = _enumerate_hash_space(
-            params, bounds, ids.ids, edges, [edge_relation(params.target)] * len(edges)
-        )
-    elif scheme is SchemeTag.IDLIST:
-        found, tried, first = _enumerate_idlist(graph, ids, params, bounds)
-    else:
-        found, tried, first = _enumerate_bitmap(graph, ids, params, bounds)
+    edges = sorted(graph.edges)
+    relations = [edge_relation(params.target)] * len(edges)
+    found, tried, first = _SPACES[scheme](params, bounds, ids.ids, edges, relations)
     return _report(
         property_holds, found, tried, first,
         lambda cert: (
@@ -216,18 +227,15 @@ def _report(property_holds, found, tried, first, rejecting_ids) -> AuditReport:
     return AuditReport(property_holds, found is not None, tried, witness)
 
 
-def _enumerate_idlist(graph, ids, params: SchemeParams, bounds):
+def _idlist_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
+    """First accepted id list in canonical order. Within a claim it holds
+    every vertex's identifier plus the claim - n smallest others, ascending;
+    the vertices take the first coloring in identifier order, the others
+    color 0. It exists only when n <= claim <= M(claim) and every identifier
+    lies below M(claim); otherwise the claim's whole space is counted."""
     from .schemes import IdListCertificate, encode_idlist_certificate
 
-    n_values = params.target.vertex_count
-    vertex_ids = frozenset(ids.ids)
-    allowed = edge_relation(params.target)
-    # per identifier, the other endpoints it must be color-compatible with
-    incident: dict[int, list[int]] = {}
-    for u, v in graph.edges:
-        incident.setdefault(ids.id_of(u), []).append(ids.id_of(v))
-        incident.setdefault(ids.id_of(v), []).append(ids.id_of(u))
-
+    n_values = params.domain_size
     plan = []
     space = 0
     for claim, id_range in _claims(params.id_policy, bounds):
@@ -240,74 +248,41 @@ def _enumerate_idlist(graph, ids, params: SchemeParams, bounds):
         raise TooLarge(f"certificate space {space} exceeds {bounds.max_space}")
 
     tried = 0
-    first_cert = None
     for claim, id_range in plan:
-        if first_cert is None:
-            first_cert = encode_idlist_certificate(
-                IdListCertificate(((0, 0),) * claim), params
-            )
-        block = [(id_range * n_values) ** r for r in range(claim + 1)]
-        colors_of: dict[int, int] = {}
-        records: list[tuple[int, int]] = []
-
-        def descend(depth: int, prev_id: int):
-            nonlocal tried
-            # records with an identifier <= prev_id are unsorted: every
-            # completion is rejected everywhere, so count them wholesale
-            tried += (prev_id + 1) * n_values * block[claim - depth - 1]
-            for identifier in range(prev_id + 1, id_range):
-                partners = [
-                    colors_of[w] for w in incident.get(identifier, ()) if w in colors_of
-                ]
-                for color in range(n_values):
-                    if any((color, pc) not in allowed for pc in partners):
-                        tried += block[claim - depth - 1]
-                        continue
-                    records.append((identifier, color))
-                    colors_of[identifier] = color
-                    if depth + 1 == claim:
-                        tried += 1
-                        if vertex_ids <= colors_of.keys():
-                            cert = encode_idlist_certificate(
-                                IdListCertificate(tuple(records)), params
-                            )
-                            records.pop()
-                            del colors_of[identifier]
-                            return cert
-                    else:
-                        cert = descend(depth + 1, identifier)
-                        if cert is not None:
-                            records.pop()
-                            del colors_of[identifier]
-                            return cert
-                    records.pop()
-                    del colors_of[identifier]
-            return None
-
-        cert = descend(0, -1)
-        if cert is not None:
-            return cert, tried, None
-    return None, tried, first_cert
+        if len(vertex_ids) <= claim <= id_range and all(i < id_range for i in vertex_ids):
+            # only the coloring is used: the narrowest width keeps the
+            # unused rank small where M(claim) is large
+            found = _first_accepted(vertex_ids, max(vertex_ids) + 1, n_values, edges, relations)
+            if found is not None:
+                others = [i for i in range(claim) if i not in found[0]][: claim - len(vertex_ids)]
+                records = sorted([*found[0].items(), *((i, 0) for i in others)])
+                rank = 0
+                for identifier, color in records:
+                    rank = rank * id_range * n_values + identifier * n_values + color
+                cert = encode_idlist_certificate(IdListCertificate(tuple(records)), params)
+                return cert, tried + rank + 1, None
+        tried += (id_range * n_values) ** claim
+    if not plan:
+        return None, tried, None
+    first = IdListCertificate(((0, 0),) * plan[0][0])
+    return None, tried, encode_idlist_certificate(first, params)
 
 
-def _enumerate_bitmap(graph, ids, params: SchemeParams, bounds):
+def _bitmap_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
+    """First accepted bitmap in canonical order (ranges ascending, then the
+    colors at identifiers 0, 1, ... ascending)."""
     from .bits import Bits
     from .schemes import BitmapCertificate, encode_bitmap_certificate
 
-    n_values = params.target.vertex_count
-    width = params.value_width
-    vertex_ids = [ids.id_of(v) for v in range(graph.vertex_count)]
-    edge_ids = [(ids.id_of(u), ids.id_of(v)) for u, v in sorted(graph.edges)]
-    allowed = edge_relation(params.target)
-
+    n_values = params.domain_size
     ranges = sorted({id_range for _, id_range in _claims(params.id_policy, bounds)})
 
-    if width == 0:
+    if params.value_width == 0:
         # one empty payload; every node checks only that it has no neighbors
         if not ranges:
             return None, 0, None
         cert = Certificate(SchemeTag.BITMAP, Bits.empty())
-        if not graph.edges:
+        if not edges:
             return cert, 1, None
         return None, 1, cert
 
@@ -320,21 +295,25 @@ def _enumerate_bitmap(graph, ids, params: SchemeParams, bounds):
         raise TooLarge(f"certificate space {space} exceeds {bounds.max_space}")
 
     tried = 0
-    first_cert = None
     for id_range in ranges:
-        if first_cert is None:
-            first_cert = encode_bitmap_certificate(
-                BitmapCertificate((0,) * id_range), params
-            )
-        if any(i >= id_range for i in vertex_ids):
-            tried += n_values**id_range
-            continue
-        for colors in itertools.product(range(n_values), repeat=id_range):
-            tried += 1
-            if all((colors[a], colors[b]) in allowed for a, b in edge_ids):
+        if all(i < id_range for i in vertex_ids):
+            found = _first_accepted(vertex_ids, id_range, n_values, edges, relations)
+            if found is not None:
+                colors = tuple(found[0].get(i, 0) for i in range(id_range))
                 cert = encode_bitmap_certificate(BitmapCertificate(colors), params)
-                return cert, tried, None
-    return None, tried, first_cert
+                return cert, tried + found[1] + 1, None
+        tried += n_values**id_range
+    if not ranges:
+        return None, tried, None
+    first = BitmapCertificate((0,) * ranges[0])
+    return None, tried, encode_bitmap_certificate(first, params)
+
+
+_SPACES = {
+    SchemeTag.HASH: _hash_space,
+    SchemeTag.IDLIST: _idlist_space,
+    SchemeTag.BITMAP: _bitmap_space,
+}
 
 
 def audit_csp_soundness(
@@ -343,10 +322,10 @@ def audit_csp_soundness(
     bounds: AuditBounds = AuditBounds(),
 ) -> AuditReport:
     """CSP analog of audit_soundness for the hash-compressed scheme: the
-    certificate space is enumerated and checked against every variable's
-    incident constraints."""
+    certificate space is searched against every variable's incident
+    constraints."""
     property_holds = solve_csp(instance) is not None
-    found, tried, first = _enumerate_hash_space(
+    found, tried, first = _hash_space(
         params, bounds, instance.ids.ids,
         [ct.scope for ct in instance.constraints],
         [ct.relation for ct in instance.constraints],

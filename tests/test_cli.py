@@ -236,3 +236,26 @@ class TestCspPipeline:
         assert run_cli(
             "verify", "--csp", str(csp), "--cert", str(cert), "--id-range", "fixed:16",
         ) == 0
+
+    def test_csp_certificate_with_a_non_hash_tag_rejects_everywhere(self, workspace, capsys):
+        csp = workspace / "inst.csp"
+        assert run_cli(
+            "gen", "--n", "6", "--target", "K3", "--density", "0.7",
+            "--seed", "4", "--id-range", "fixed:64", "--csp", "--out", str(csp),
+        ) == 0
+        cert = workspace / "c.bin"
+        assert run_cli(
+            "prove", "--scheme", "hash", "--csp", str(csp),
+            "--id-range", "fixed:64", "--out", str(cert),
+        ) == 0
+        blob = bytearray(cert.read_bytes())
+        for tag in (0x01, 0x02):
+            blob[0] = tag
+            cert.write_bytes(bytes(blob))
+            capsys.readouterr()
+            code = run_cli(
+                "verify", "--csp", str(csp), "--cert", str(cert), "--id-range", "fixed:64",
+            )
+            out = capsys.readouterr().out
+            assert code == 1
+            assert out.count(" reject\n") == 6 and "accept" not in out

@@ -28,7 +28,14 @@ from globalcert import (
     run_all_nodes,
     verify_certificate,
 )
-from globalcert.schemes import decode_hash_payload
+from globalcert.hashing import family_size
+from globalcert.schemes import (
+    BitmapCertificate,
+    HashCertificate,
+    IdListCertificate,
+    decode_hash_payload,
+    encode_certificate,
+)
 
 from labeled_graphs import all_labeled_graphs
 
@@ -197,6 +204,95 @@ class TestAudit:
                 verify_certificate(local_view(cycle(4), ids, v, cert.payload), scheme, params)
                 for v in range(4)
             )
+
+
+def canonical_space(scheme, params, max_claim):
+    """Every decodable certificate of claims 1..max_claim under a fixed
+    policy, built through the public encoders in the audit's canonical
+    order."""
+    values = range(params.target.vertex_count)
+    id_range = params.id_policy.param
+    if scheme is SchemeTag.BITMAP:
+        for colors in itertools.product(values, repeat=id_range):
+            yield encode_certificate(BitmapCertificate(colors), params)
+        return
+    for claim in range(1, max_claim + 1):
+        if scheme is SchemeTag.HASH:
+            for index in range(family_size(claim, id_range)):
+                for colors in itertools.product(values, repeat=claim):
+                    yield encode_certificate(HashCertificate(claim, index, colors), params)
+        else:
+            records = list(itertools.product(range(id_range), values))
+            for rows in itertools.product(records, repeat=claim):
+                yield encode_certificate(IdListCertificate(rows), params)
+
+
+class TestAuditMatchesBruteForce:
+    # (graph, target, M): colorable and not, first witnesses at and past
+    # the start of the space, and 4-vertex graphs no id list of claim <= 3
+    # can cover
+    CASES = [
+        (Graph.of(2), K3, 5),
+        (Graph.of(2, [(0, 1)]), K2, 8),
+        (Graph.of(3, [(0, 1), (1, 2)]), K2, 8),
+        (K3, K2, 5),
+        (K3, K3, 4),
+        (cycle(4), K2, 8),
+        (Graph.of(4, [(0, 1), (0, 2), (0, 3)]), K3, 5),
+        (clique(4), K3, 4),
+    ]
+
+    @pytest.mark.parametrize("scheme", list(SchemeTag), ids=lambda s: s.label)
+    def test_tried_and_witness_equal_the_brute_force_scan(self, scheme):
+        rng = random.Random(77)
+        for graph, target, id_range in self.CASES:
+            n = graph.vertex_count
+            ids = IdAssignment(tuple(rng.sample(range(id_range), n)), id_range)
+            params = SchemeParams(target=target, id_policy=IdRangePolicy.fixed(id_range))
+
+            def rejecting(cert):
+                return [
+                    ids.id_of(v) for v in range(n)
+                    if not verify_certificate(local_view(graph, ids, v, cert.payload), scheme, params)
+                ]
+
+            first, tried, witness = None, 0, None
+            for cert in canonical_space(scheme, params, 3):
+                first = first or cert
+                tried += 1
+                if not rejecting(cert):
+                    witness = cert
+                    break
+            else:
+                witness = min(rejecting(first))
+            report = audit_soundness(graph, ids, scheme, params, AuditBounds(max_claimed_n=3))
+            assert report.certificate_accepted_exists == isinstance(witness, Certificate)
+            assert report.certificates_tried == tried
+            assert report.witness == witness
+
+
+class TestWidenedAudit:
+    def test_five_vertex_graphs_at_claims_up_to_six(self):
+        # verdicts match the oracle on sampled 5-vertex graphs, and an
+        # unsatisfiable hash audit counts every decodable certificate
+        rng = random.Random(2024)
+        graphs = rng.sample(list(all_labeled_graphs(5)), 40)
+        for i, graph in enumerate(graphs):
+            id_range, max_claim = ((8, 6), (16, 5))[i % 2]
+            for target in (K2, K3, cycle(5)):
+                params = SchemeParams(target=target, id_policy=IdRangePolicy.fixed(id_range))
+                ids = random_id_assignment(5, id_range, rng.randrange(10**6))
+                bounds = AuditBounds(max_claimed_n=max_claim, max_space=10**12)
+                truth = exists_homomorphism(graph, target)
+                report = audit_soundness(graph, ids, SchemeTag.HASH, params, bounds)
+                assert report.certificate_accepted_exists == truth
+                if not truth:
+                    assert report.certificates_tried == sum(
+                        family_size(k, id_range) * target.vertex_count**k
+                        for k in range(1, max_claim + 1)
+                    )
+                bitmap = audit_soundness(graph, ids, SchemeTag.BITMAP, params, bounds)
+                assert bitmap.certificate_accepted_exists == truth
 
 
 class TestAuditCoversRawPayloadSpace:
