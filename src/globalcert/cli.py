@@ -39,9 +39,7 @@ _PROVER_ERRORS = (NotSatisfiable, NoPerfectHash, BitmapTooLarge, TooLarge)
 def _load_target(name_or_path: str):
     if name_or_path in BUILTIN_TARGETS:
         return BUILTIN_TARGETS[name_or_path]
-    with open(name_or_path, encoding="utf-8") as handle:
-        graph, _ = parse_graph(handle.read())
-    return graph
+    return _load_graph(name_or_path)[0]
 
 
 def _load_graph(path: str):
@@ -49,12 +47,8 @@ def _load_graph(path: str):
         return parse_graph(handle.read())
 
 
-def _policy(args, default=None) -> IdRangePolicy:
-    if args.id_range is not None:
-        return IdRangePolicy.parse(args.id_range)
-    if default is not None:
-        return default
-    raise CertificationError("an --id-range policy is required here")
+def _policy(args, default: IdRangePolicy) -> IdRangePolicy:
+    return default if args.id_range is None else IdRangePolicy.parse(args.id_range)
 
 
 def _cmd_gen(args) -> int:
@@ -78,22 +72,35 @@ def _write_text(path: str | None, text: str) -> None:
             handle.write(text)
 
 
-def _cmd_prove(args) -> int:
-    scheme = SchemeTag.from_label(args.scheme)
+def _instance(args):
+    """The one input of `prove` and `verify`, read once: its identifiers in
+    vertex or variable order, `prove(scheme, stats) -> Certificate` and
+    `decide(cert) -> one decision per identifier`."""
     if (args.csp is None) == (args.graph is None):
         raise CertificationError("exactly one of --graph or --csp is required")
-    stats = ProveStats()
     if args.csp is not None:
         with open(args.csp, encoding="utf-8") as handle:
             instance = parse_csp(handle.read())
-        if scheme is not SchemeTag.HASH:
-            raise CertificationError("CSP instances certify under the hash scheme only")
+        ids = instance.ids
         params = CspParams(
             domain_size=instance.domain_size,
-            id_policy=_policy(args, IdRangePolicy.fixed(instance.ids.id_range)),
+            id_policy=_policy(args, IdRangePolicy.fixed(ids.id_range)),
             range_multiplier=Fraction(args.multiplier),
         )
-        cert = prove_csp(instance, params, stats)
+
+        def prove(scheme, stats):
+            if scheme is not SchemeTag.HASH:
+                raise CertificationError("CSP instances certify under the hash scheme only")
+            return prove_csp(instance, params, stats)
+
+        def decide(cert):
+            # a CSP certificate is read in the hash layout only: any other
+            # tag is rejected at every variable
+            return [
+                cert.scheme is SchemeTag.HASH
+                and verify_csp_variable(csp_view(instance, v, cert.payload), params)
+                for v in range(instance.variable_count)
+            ]
     else:
         graph, ids = _load_graph(args.graph)
         params = SchemeParams(
@@ -101,7 +108,19 @@ def _cmd_prove(args) -> int:
             id_policy=_policy(args, IdRangePolicy.fixed(ids.id_range)),
             range_multiplier=Fraction(args.multiplier),
         )
-        cert = prove_certificate(graph, ids, scheme, params, stats)
+
+        def prove(scheme, stats):
+            return prove_certificate(graph, ids, scheme, params, stats)
+
+        def decide(cert):
+            return run_all_nodes(graph, ids, cert, params).decisions
+    return ids.ids, prove, decide
+
+
+def _cmd_prove(args) -> int:
+    scheme = SchemeTag.from_label(args.scheme)
+    stats = ProveStats()
+    cert = _instance(args)[1](scheme, stats)
     with open(args.out, "wb") as handle:
         handle.write(cert.to_bytes())
     print(f"scheme={scheme.label} payload_bits={cert.payload.length} probes={stats.probes}")
@@ -109,53 +128,18 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if (args.csp is None) == (args.graph is None):
-        raise CertificationError("exactly one of --graph or --csp is required")
+    all_ids, _, decide = _instance(args)
     with open(args.cert, "rb") as handle:
         blob = handle.read()
     try:
         cert = Certificate.from_bytes(blob)
-    except MalformedCertificate:
-        cert = None
-    # an unusable tag byte, or a CSP certificate not in the hash layout: no
-    # node can accept it
-    if cert is None or (args.csp is not None and cert.scheme is not SchemeTag.HASH):
-        if args.csp is not None:
-            with open(args.csp, encoding="utf-8") as handle:
-                all_ids = parse_csp(handle.read()).ids.ids
-        else:
-            _, ids = _load_graph(args.graph)
-            all_ids = ids.ids
-        for identifier in all_ids:
-            print(f"id={identifier} reject")
-        print("rejecting:", " ".join(str(i) for i in sorted(all_ids)))
-        return 1
-    if args.csp is not None:
-        with open(args.csp, encoding="utf-8") as handle:
-            instance = parse_csp(handle.read())
-        params = CspParams(
-            domain_size=instance.domain_size,
-            id_policy=_policy(args, IdRangePolicy.fixed(instance.ids.id_range)),
-            range_multiplier=Fraction(args.multiplier),
-        )
-        decisions = [
-            (instance.ids.id_of(v), verify_csp_variable(csp_view(instance, v, cert.payload), params))
-            for v in range(instance.variable_count)
-        ]
+    except MalformedCertificate:  # an unusable tag byte: no node can accept it
+        decisions = [False] * len(all_ids)
     else:
-        graph, ids = _load_graph(args.graph)
-        params = SchemeParams(
-            target=_load_target(args.target),
-            id_policy=_policy(args, IdRangePolicy.fixed(ids.id_range)),
-            range_multiplier=Fraction(args.multiplier),
-        )
-        result = run_all_nodes(graph, ids, cert, params)
-        decisions = [
-            (ids.id_of(v), result.decisions[v]) for v in range(graph.vertex_count)
-        ]
-    for identifier, accepted in decisions:
+        decisions = decide(cert)
+    for identifier, accepted in zip(all_ids, decisions):
         print(f"id={identifier} {'accept' if accepted else 'reject'}")
-    rejecting = sorted(identifier for identifier, ok in decisions if not ok)
+    rejecting = sorted(identifier for identifier, ok in zip(all_ids, decisions) if not ok)
     if rejecting:
         print("rejecting:", " ".join(str(i) for i in rejecting))
         return 1
@@ -175,16 +159,13 @@ def _cmd_audit(args) -> int:
         params,
         AuditBounds(max_claimed_n=args.max_n, max_space=args.max_space),
     )
-    if isinstance(report.witness, Certificate):
-        witness = report.witness.to_bytes().hex()
-    elif report.witness is None:
-        witness = "-"
-    else:
-        witness = str(report.witness)
+    witness = report.witness
+    if isinstance(witness, Certificate):
+        witness = witness.to_bytes().hex()
     print(
         f"property={str(report.property_holds).lower()} "
         f"accepted={str(report.certificate_accepted_exists).lower()} "
-        f"tried={report.certificates_tried} witness={witness}"
+        f"tried={report.certificates_tried} witness={'-' if witness is None else witness}"
     )
     return 0 if report.property_holds == report.certificate_accepted_exists else 1
 
@@ -227,23 +208,21 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=_cmd_gen)
 
-    prove = sub.add_parser("prove", help="write a certificate file")
+    # the input options `prove` and `verify` share
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--graph")
+    inputs.add_argument("--csp")
+    inputs.add_argument("--target", default="K2")
+    inputs.add_argument("--id-range", dest="id_range", default=None)
+    inputs.add_argument("--lambda", dest="multiplier", default="1")
+
+    prove = sub.add_parser("prove", parents=[inputs], help="write a certificate file")
     prove.add_argument("--scheme", choices=["hash", "idlist", "bitmap"], required=True)
-    prove.add_argument("--graph")
-    prove.add_argument("--csp")
-    prove.add_argument("--target", default="K2")
-    prove.add_argument("--id-range", dest="id_range", default=None)
-    prove.add_argument("--lambda", dest="multiplier", default="1")
     prove.add_argument("--out", required=True)
     prove.set_defaults(func=_cmd_prove)
 
-    verify = sub.add_parser("verify", help="run every node's verifier")
-    verify.add_argument("--graph")
-    verify.add_argument("--csp")
+    verify = sub.add_parser("verify", parents=[inputs], help="run every node's verifier")
     verify.add_argument("--cert", required=True)
-    verify.add_argument("--target", default="K2")
-    verify.add_argument("--id-range", dest="id_range", default=None)
-    verify.add_argument("--lambda", dest="multiplier", default="1")
     verify.set_defaults(func=_cmd_verify)
 
     audit = sub.add_parser("audit", help="exhaustive certificate-space audit")

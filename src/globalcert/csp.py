@@ -64,7 +64,17 @@ class CspInstance:
                         raise InvalidParams(f"relation value {value} outside the domain")
 
     def incident(self, var: int) -> tuple[CspConstraint, ...]:
-        return tuple(ct for ct in self.constraints if var in ct.scope)
+        """The constraints whose scope holds `var`, in constraint order;
+        built for every variable on the first call."""
+        inc = getattr(self, "_inc", None)
+        if inc is None:
+            lists: list[list[CspConstraint]] = [[] for _ in range(self.variable_count)]
+            for ct in self.constraints:
+                for v in ct.scope:
+                    lists[v].append(ct)
+            inc = tuple(map(tuple, lists))
+            object.__setattr__(self, "_inc", inc)
+        return inc[var] if 0 <= var < self.variable_count else ()
 
     def neighborhood(self, var: int) -> frozenset[int]:
         """Variables sharing a constraint with `var`, excluding `var`."""
@@ -266,9 +276,9 @@ def parse_csp(text: str) -> CspInstance:
         if row[0] != "ct":
             raise ParseError(f"unknown record {row[0]!r}")
         try:
-            arity = int(row[1])
-            if len(row) != 3 + arity:
+            if len(row) < 3 or len(row) != 3 + int(row[1]):
                 raise ParseError("constraint header has the wrong field count")
+            arity = len(row) - 3
             scope = tuple(int(x) for x in row[2 : 2 + arity])
             ntuples = int(row[-1])
             rows = []

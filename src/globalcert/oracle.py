@@ -199,31 +199,25 @@ def audit_soundness(
 ) -> AuditReport:
     """Search every decodable certificate of the scheme within bounds and
     report whether some certificate is accepted by every node."""
-    property_holds = exists_homomorphism(graph, params.target)
-    edges = sorted(graph.edges)
-    relations = [edge_relation(params.target)] * len(edges)
-    found, tried, first = _SPACES[scheme](params, bounds, ids.ids, edges, relations)
-    return _report(
-        property_holds, found, tried, first,
-        lambda cert: (
-            ids.id_of(v)
-            for v in range(graph.vertex_count)
-            if not verify_certificate(
-                local_view(graph, ids, v, cert.payload), cert.scheme, params
-            )
-        ),
+    return _audit(
+        exists_homomorphism(graph, params.target), _SPACES[scheme], params, bounds,
+        ids.ids, sorted(graph.edges), [edge_relation(params.target)] * len(graph.edges),
+        lambda v, cert: verify_certificate(local_view(graph, ids, v, cert.payload), cert.scheme, params),
     )
 
 
-def _report(property_holds, found, tried, first, rejecting_ids) -> AuditReport:
-    """The witness is the accepted certificate, else the lowest identifier
-    that `rejecting_ids(first)` yields (None for an empty space)."""
+def _audit(property_holds, space, params, bounds, ids, scopes, relations, accepts) -> AuditReport:
+    """Run `space` over the identifiers and the scopes' relations. The
+    witness is the accepted certificate, else the lowest identifier whose
+    node refuses the canonically first certificate, `accepts(v, cert)`
+    deciding for node v (None for an empty space)."""
+    found, tried, first = space(params, bounds, ids, scopes, relations)
     if found is not None:
         witness = found
     elif first is None:
         witness = None
     else:
-        witness = min(rejecting_ids(first), default=None)
+        witness = min((i for v, i in enumerate(ids) if not accepts(v, first)), default=None)
     return AuditReport(property_holds, found is not None, tried, witness)
 
 
@@ -324,19 +318,12 @@ def audit_csp_soundness(
     """CSP analog of audit_soundness for the hash-compressed scheme: the
     certificate space is searched against every variable's incident
     constraints."""
-    property_holds = solve_csp(instance) is not None
-    found, tried, first = _hash_space(
-        params, bounds, instance.ids.ids,
-        [ct.scope for ct in instance.constraints],
-        [ct.relation for ct in instance.constraints],
-    )
+    # looked up at call time, where a tracer may have wrapped them
     from .csp import csp_view, verify_csp_variable
 
-    return _report(
-        property_holds, found, tried, first,
-        lambda cert: (
-            instance.ids.id_of(v)
-            for v in range(instance.variable_count)
-            if not verify_csp_variable(csp_view(instance, v, cert.payload), params)
-        ),
+    cts = instance.constraints
+    return _audit(
+        solve_csp(instance) is not None, _hash_space, params, bounds, instance.ids.ids,
+        [ct.scope for ct in cts], [ct.relation for ct in cts],
+        lambda v, cert: verify_csp_variable(csp_view(instance, v, cert.payload), params),
     )

@@ -339,36 +339,11 @@ def _bitmap_content_bits(payload: Bits, params: SchemeParams) -> int:
     for content in candidates:
         if content % width:
             continue
-        if not _policy_range_value(content // width, params.id_policy):
+        if not params.id_policy.is_range_value(content // width):
             continue
         if all(payload.bit(i) == 0 for i in range(content, payload.length)):
             return content
     raise MalformedCertificate("payload length matches no identifier range")
-
-
-def _integer_root(m: int, c: int) -> int:
-    """Floor of the c-th root, exact for arbitrary precision."""
-    if m < 2:
-        return m
-    x = 1 << -(-m.bit_length() // c)
-    while True:
-        y = ((c - 1) * x + m // x ** (c - 1)) // c
-        if y >= x:
-            return x
-        x = y
-
-
-def _policy_range_value(m: int, policy: IdRangePolicy) -> bool:
-    """True iff m = M(n) for some n >= 1 under the policy."""
-    if m < 1:
-        return False
-    if policy.kind == "fixed":
-        return m == policy.param
-    if policy.kind == "poly":
-        if policy.param == 1:
-            return True
-        return _integer_root(m, policy.param) ** policy.param == m
-    return m in {1 << min(1 << n, 128) for n in range(1, 8)}
 
 
 def decode_bitmap_payload(payload: Bits, params: SchemeParams) -> BitmapCertificate:

@@ -91,6 +91,29 @@ class TestPipelines:
         assert run_cli("prove", "--scheme", "zzz", "--out", "x") == 2
         assert run_cli("verify", "--cert", str(workspace / "missing.bin")) == 2
         assert run_cli("prove", "--scheme", "hash", "--out", "x") == 2  # no input
+        graph = gen_graph(workspace)
+        cert = workspace / "c.bin"
+        assert run_cli(
+            "prove", "--scheme", "hash", "--graph", str(graph), "--id-range", "poly:2", "--out", str(cert),
+        ) == 0
+        capsys.readouterr()
+        for inputs in (
+            ("--graph", str(graph), "--csp", str(graph)),
+            (),
+            ("--graph", str(graph), "--target", str(workspace / "missing.txt")),
+        ):
+            assert run_cli("verify", *inputs, "--cert", str(cert), "--id-range", "poly:2") == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_invalid_option_exits_2_whatever_the_certificate_tag(self, workspace, capsys):
+        graph = gen_graph(workspace)
+        cert = workspace / "c.bin"
+        cert.write_bytes(bytes([0x7F, 0x00]))
+        capsys.readouterr()
+        for option in (("--id-range", "poly:x"), ("--lambda", "1/2")):
+            assert run_cli("verify", "--graph", str(graph), "--cert", str(cert), *option) == 2
+            assert capsys.readouterr().out == ""
 
     def test_unexpected_exception_exits_2_with_one_line(self, workspace, capsys, monkeypatch):
         import globalcert.cli as cli
@@ -249,7 +272,7 @@ class TestCspPipeline:
             "--id-range", "fixed:64", "--out", str(cert),
         ) == 0
         blob = bytearray(cert.read_bytes())
-        for tag in (0x01, 0x02):
+        for tag in (0x01, 0x02, 0x7F):
             blob[0] = tag
             cert.write_bytes(bytes(blob))
             capsys.readouterr()

@@ -71,6 +71,19 @@ class TestTranslation:
         inst = graph_to_csp(cycle(4), ids8(4), K2)
         assert inst.neighborhood(0) == frozenset({1, 3})
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_incident_equals_a_scan_of_the_constraints(self, data):
+        n = data.draw(st.integers(1, 12))
+        scope = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 3), unique=True)
+        constraints = tuple(
+            CspConstraint(tuple(s), frozenset({(0,) * len(s)}) if data.draw(st.booleans()) else frozenset())
+            for s in data.draw(st.lists(scope, max_size=20))
+        )
+        inst = CspInstance(n, 2, IdAssignment(tuple(range(n)), n), constraints)
+        for var in range(-1, n + 1):
+            assert inst.incident(var) == tuple(ct for ct in constraints if var in ct.scope)
+
 
 class TestSolver:
     def test_even_cycle(self):
@@ -303,3 +316,5 @@ class TestCspFiles:
             parse_csp("csp 1 2 4\nid 0 0\nct 2 0 1")
         with pytest.raises(ParseError):
             parse_csp("csp 2 2 4\nid 0 0\nid 0 1")
+        with pytest.raises(ParseError):
+            parse_csp("csp 1 2 4\nid 0 0\nct")

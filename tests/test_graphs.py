@@ -221,6 +221,43 @@ class TestIdRangePolicy:
             IdRangePolicy.fixed(2**128 + 1)
 
 
+POLICIES = [
+    *(IdRangePolicy.fixed(m) for m in (1, 7, 2**100, 2**128)),
+    *(IdRangePolicy.poly(c) for c in (1, 2, 3, 4)),
+    IdRangePolicy.doubly_exponential(),
+]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
+def test_is_range_value_matches_the_set_of_evaluated_values(policy):
+    def values(ns):
+        out = set()
+        for n in ns:
+            try:
+                out.add(policy.evaluate(n))
+            except InvalidParams:
+                pass
+        return out
+
+    # M(n) >= n, so below this bound every value comes from some n <= bound
+    bound = 3000
+    small = values(range(1, bound + 1))
+    for m in range(-1, bound + 1):
+        assert policy.is_range_value(m) == (m in small), m
+    # M is non-decreasing, so M(n) +- 1 is a value only if it is M(n +- 1)
+    if policy.kind == "poly":
+        top = 2 ** (128 // policy.param)
+        large = [top - 1, top, 10**5 + 3]
+    else:
+        large = [1, 2, 5, 6, 7, 8, 12] if policy.kind == "doubexp" else [1, min(policy.param, 10**6)]
+    for n in large:
+        for value in values([n]):
+            near = values([n - 1, n, n + 1])
+            for m in (value - 1, value, value + 1):
+                assert policy.is_range_value(m) == (m in near), (n, m)
+    assert not policy.is_range_value(2**128 + 1)
+
+
 class TestRandomIds:
     def test_injective_and_in_range(self):
         for id_range in (5, 64, 2**128):

@@ -1,18 +1,27 @@
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from globalcert import (
     BenchSpec,
+    BitmapCertificate,
     Bits,
     Certificate,
+    Graph,
     IdAssignment,
+    IdListCertificate,
     IdRangePolicy,
+    MalformedCertificate,
     SchemeParams,
     SchemeTag,
     bench_sizes,
     clique,
     cycle,
+    decode_certificate,
     default_bench_specs,
+    eval_hash,
+    family_size,
     prove_and_run,
     random_h_colorable_graph,
     random_id_assignment,
@@ -71,6 +80,99 @@ class TestRunAllNodes:
             for scheme in SchemeTag:
                 result = run_all_nodes(tri, ids, Certificate(scheme, bits), params)
                 assert not result.all_accept
+
+
+def planted(scheme: SchemeTag, target, n: int, rng: random.Random):
+    """(graph, ids, honest certificate, params) under M = n^2: the colours
+    come first (for hash, from a random family member and table), then each
+    pair whose colours form a target edge is kept with probability 0.3."""
+    policy = IdRangePolicy.poly(2)
+    params = SchemeParams(target, policy)
+    id_range = policy.evaluate(n)
+    ids = random_id_assignment(n, id_range, rng.randrange(1 << 32))
+    values = target.vertex_count
+    if scheme is SchemeTag.HASH:
+        index = rng.randrange(family_size(n, id_range))
+        table = tuple(rng.randrange(values) for _ in range(n))
+        colour = [table[eval_hash(index, i, n)] for i in ids.ids]
+        decoded = HashCertificate(n, index, table)
+    elif scheme is SchemeTag.IDLIST:
+        colour = [rng.randrange(values) for _ in range(n)]
+        decoded = IdListCertificate(tuple(sorted(zip(ids.ids, colour))))
+    else:
+        entries = [rng.randrange(values) for _ in range(id_range)]
+        colour = [entries[i] for i in ids.ids]
+        decoded = BitmapCertificate(tuple(entries))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = Graph.of(n, [(u, v) for u, v in pairs if target.has_edge(colour[u], colour[v]) and rng.random() < 0.3])
+    return graph, ids, encode_certificate(decoded, params), params
+
+
+def mutated(cert: Certificate, edits) -> Certificate:
+    bits = cert.payload.to01()
+    for kind, at in edits:
+        if kind == "flip" and bits:
+            i = at % len(bits)
+            bits = bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
+        elif kind == "truncate":
+            bits = bits[: max(0, len(bits) - 1 - at % 16)]
+        elif kind == "append":
+            bits += format(at, "b")
+    return Certificate(cert.scheme, Bits.from01(bits))
+
+
+def colours_read(cert: Certificate, params: SchemeParams, ids: IdAssignment):
+    """Each identifier's colour in the decoded certificate, None if it has none."""
+    decoded = decode_certificate(cert, params)
+    if cert.scheme is SchemeTag.HASH:
+        id_range = params.id_policy.evaluate(decoded.claimed_n)
+        buckets = len(decoded.colors)
+        return [decoded.colors[eval_hash(decoded.hash_index, i, buckets)] if i < id_range else None for i in ids.ids]
+    if cert.scheme is SchemeTag.IDLIST:
+        return [dict(decoded.records).get(i) for i in ids.ids]
+    return [decoded.colors[i] if i < len(decoded.colors) else None for i in ids.ids]
+
+
+def bitmap_entries(cert: Certificate, width: int) -> list[int]:
+    bits = cert.payload.to01()
+    return [int(bits[i : i + width], 2) for i in range(0, len(bits) - width + 1, width)]
+
+
+class TestSoundnessAtScale:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scheme=st.sampled_from(list(SchemeTag)),
+        target=st.sampled_from(["K2", "K3", "C5"]),
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["flip", "truncate", "append"]), st.integers(0, 2**16)),
+            max_size=3,
+        ),
+    )
+    def test_accepted_certificates_decode_to_a_homomorphism(self, scheme, target, n, seed, edits):
+        target = {"K2": clique(2), "K3": clique(3), "C5": cycle(5)}[target]
+        graph, ids, honest, params = planted(scheme, target, n, random.Random(seed))
+        cert = mutated(honest, edits)
+        result = run_all_nodes(graph, ids, cert, params)
+        assert result.all_accept == all(result.decisions)
+        if not edits:
+            assert result.all_accept
+        if not result.all_accept:
+            return
+        try:
+            colour = colours_read(cert, params, ids)
+        except MalformedCertificate:
+            # a bitmap node reads only its own and its neighbours' entries,
+            # while the decoder refuses an entry outside the target at any
+            # identifier: the refusal must come from an entry no node reads
+            assert scheme is SchemeTag.BITMAP
+            entries = bitmap_entries(cert, params.value_width)
+            unread = set(range(len(entries))) - set(ids.ids)
+            assert any(entries[i] >= target.vertex_count for i in unread)
+            colour = [entries[i] for i in ids.ids]
+        assert None not in colour
+        assert all(target.has_edge(colour[u], colour[v]) for u, v in graph.edges)
 
 
 class TestProbeStatistics:
