@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bits
-from .errors import InvalidId, InvalidParams, MalformedCertificate, NotSatisfiable, ParseError, TooLarge
-from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph
+from .errors import InvalidParams, MalformedCertificate, NotSatisfiable, ParseError, TooLarge
+from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph, _integers, read_instance
 from .hashing import perfect_hash_search  # noqa: F401  kept: perfbench/tracing.py patches it here
 from .schemes import Certificate, ProveStats, hash_colors, prove_hash_table
 from .schemes import decode_assignment_fields, encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
@@ -227,73 +227,33 @@ def verify_csp_variable(view: CspView, params: CspParams) -> bool:
 
 
 def parse_csp(text: str) -> CspInstance:
-    """Parse the line-oriented CSP format.
+    """Parse the line-oriented CSP format (see `graphs.read_instance`).
 
-    Header `csp <nvars> <domain> <M>`, then `id <var> <identifier>` lines,
-    then constraints: `ct <arity> <v1> ... <vr> <ntuples>` followed by
-    ntuples lines of r values. `#` starts a comment.
+    Header `csp <nvars> <domain> <M>`, then in any order exactly nvars
+    lines `id <var> <identifier>` and the constraints, each
+    `ct <arity> <v1> ... <vr> <ntuples>` followed by ntuples lines of r
+    values.
     """
-    lines = [
-        stripped
-        for raw in text.splitlines()
-        if (stripped := raw.strip()) and not stripped.startswith("#")
-    ]
-    if not lines:
-        raise ParseError("empty CSP file")
-    pos = 0
-
-    def take() -> list[str]:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError("unexpected end of CSP file")
-        pos += 1
-        return lines[pos - 1].split()
-
-    header = take()
-    if len(header) != 4 or header[0] != "csp":
-        raise ParseError("expected 'csp <nvars> <domain> <M>' header")
-    try:
-        nvars, domain, id_range = int(header[1]), int(header[2]), int(header[3])
-    except ValueError:
-        raise ParseError("header fields must be integers") from None
-    ids: dict[int, int] = {}
-    for _ in range(nvars):
-        row = take()
-        if len(row) != 3 or row[0] != "id":
-            raise ParseError("expected 'id <var> <identifier>'")
-        try:
-            var, identifier = int(row[1]), int(row[2])
-        except ValueError:
-            raise ParseError("id fields must be integers") from None
-        if not 0 <= var < nvars:
-            raise ParseError(f"variable {var} out of range")
-        if var in ids:
-            raise ParseError(f"variable {var} assigned twice")
-        ids[var] = identifier
     constraints: list[CspConstraint] = []
-    while pos < len(lines):
-        row = take()
-        if row[0] != "ct":
-            raise ParseError(f"unknown record {row[0]!r}")
-        try:
-            if len(row) < 3 or len(row) != 3 + int(row[1]):
-                raise ParseError("constraint header has the wrong field count")
-            arity = len(row) - 3
-            scope = tuple(int(x) for x in row[2 : 2 + arity])
-            ntuples = int(row[-1])
-            rows = []
-            for _ in range(ntuples):
-                values = take()
-                if len(values) != arity:
-                    raise ParseError("relation row arity mismatch")
-                rows.append(tuple(int(x) for x in values))
-        except ValueError:
-            raise ParseError("constraint fields must be integers") from None
+
+    def read_constraint(lineno: int, fields: list[str], records) -> None:
+        form = "ct <arity> <v1> ... <vr> <ntuples>"
+        # every field after `ct` is an integer, at least two of them: the
+        # arity, which must equal the scope's length, and ntuples
+        head = _integers(lineno, fields[1:], max(len(fields) - 1, 2), form)
+        scope = tuple(head[1:-1])
+        if head[0] != len(scope):
+            raise ParseError(f"line {lineno}: expected '{form}'")
+        rows = set()
+        for _ in range(head[-1]):
+            row = next(records, None)
+            if row is None:
+                raise ParseError(f"line {lineno}: fewer than {head[-1]} relation rows follow")
+            rows.add(tuple(_integers(row[0], row[1], len(scope), f"{len(scope)} values")))
         constraints.append(CspConstraint(scope, frozenset(rows)))
-    if id_range < nvars:
-        raise InvalidId(f"id range {id_range} smaller than variable count {nvars}")
-    assignment = IdAssignment(tuple(ids[v] for v in range(nvars)), id_range)
-    return CspInstance(nvars, domain, assignment, tuple(constraints))
+
+    (nvars, domain, _), ids = read_instance(text, "csp <nvars> <domain> <M>", {"ct": read_constraint})
+    return CspInstance(nvars, domain, ids, tuple(constraints))
 
 
 def serialize_csp(instance: CspInstance) -> str:

@@ -229,67 +229,78 @@ def _integer_root(m: int, c: int) -> int:
         x = y
 
 
-def parse_graph(text: str) -> tuple[Graph, IdAssignment]:
-    """Parse the line-oriented graph format.
+def _records(text: str):
+    """(line number, fields) of every line that is neither blank nor a `#`
+    comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
 
-    Header `g <n> <M>`, then exactly n lines `id <vertex> <identifier>`,
-    then zero or more `e <u> <v>` lines. `#` starts a comment.
+
+def _integers(lineno: int, fields: list[str], count: int, form: str) -> list[int]:
+    """`fields` as integers, checked to number `count`; `form` is the
+    record's fixed form, named in the error."""
+    if len(fields) != count:
+        raise ParseError(f"line {lineno}: expected '{form}'")
+    try:
+        return [int(field) for field in fields]
+    except ValueError:
+        raise ParseError(f"line {lineno}: not an integer") from None
+
+
+def read_instance(text: str, header: str, readers: dict) -> tuple[list[int], IdAssignment]:
+    """The one reader of the graph and CSP formats; it checks syntax only.
+
+    The first record has the fixed form `header`, a keyword and integers,
+    the first of them the count n and the last the identifier range M. The
+    records after it come in any order: one `id <vertex> <identifier>` for
+    each vertex 0..n-1, and records whose keyword `readers` maps to a
+    function called as `read(lineno, fields, records)`, where `records`
+    yields the (line number, fields) of the records that follow. Returns
+    the header's integers and the identifiers.
     """
-    header: tuple[int, int] | None = None
+    records = _records(text)
+    form = header.split()
+    first = next(records, None)
+    if first is None:
+        raise ParseError(f"empty file: expected a '{header}' header")
+    if first[1][0] != form[0]:
+        raise ParseError(f"line {first[0]}: expected a '{header}' header first")
+    values = _integers(first[0], first[1][1:], len(form) - 1, header)
+    count = values[0]
     ids: dict[int, int] = {}
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "g":
-                if header is not None:
-                    raise ParseError(f"line {lineno}: duplicate header")
-                if len(parts) != 3:
-                    raise ParseError(f"line {lineno}: expected 'g <n> <M>'")
-                header = (int(parts[1]), int(parts[2]))
-            elif parts[0] == "id":
-                if header is None:
-                    raise ParseError(f"line {lineno}: 'id' before header")
-                if len(parts) != 3:
-                    raise ParseError(f"line {lineno}: expected 'id <vertex> <identifier>'")
-                vertex, identifier = int(parts[1]), int(parts[2])
-                if not 0 <= vertex < header[0]:
-                    raise ParseError(f"line {lineno}: vertex {vertex} out of range")
-                if vertex in ids:
-                    raise ParseError(f"line {lineno}: vertex {vertex} assigned twice")
-                ids[vertex] = identifier
-            elif parts[0] == "e":
-                if header is None:
-                    raise ParseError(f"line {lineno}: 'e' before header")
-                if len(parts) != 3:
-                    raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
-                edges.append((int(parts[1]), int(parts[2])))
-            else:
-                raise ParseError(f"line {lineno}: unknown record {parts[0]!r}")
-        except ValueError:
-            raise ParseError(f"line {lineno}: not an integer") from None
-    if header is None:
-        raise ParseError("missing 'g <n> <M>' header")
-    n, id_range = header
+    for lineno, fields in records:
+        if fields[0] == "id":
+            vertex, identifier = _integers(lineno, fields[1:], 2, "id <vertex> <identifier>")
+            if not 0 <= vertex < count:
+                raise ParseError(f"line {lineno}: vertex {vertex} out of range")
+            if vertex in ids:
+                raise ParseError(f"line {lineno}: vertex {vertex} assigned twice")
+            ids[vertex] = identifier
+        elif fields[0] in readers:
+            readers[fields[0]](lineno, fields, records)
+        else:
+            raise ParseError(f"line {lineno}: unexpected record {fields[0]!r}")
+    # every id names a distinct vertex below n, so only too few can occur
+    if len(ids) < count:
+        raise ParseError(f"expected {count} id lines, found {len(ids)}")
+    return values, IdAssignment(tuple(ids[v] for v in range(count)), values[-1])
+
+
+def parse_graph(text: str) -> tuple[Graph, IdAssignment]:
+    """Parse the line-oriented graph format (see `read_instance`).
+
+    Header `g <n> <M>`, then in any order exactly n lines
+    `id <vertex> <identifier>` and zero or more lines `e <u> <v>`.
+    """
+    edges: list[list[int]] = []
+    (n, _), ids = read_instance(text, "g <n> <M>", {
+        "e": lambda lineno, fields, _: edges.append(_integers(lineno, fields[1:], 2, "e <u> <v>")),
+    })
     if n < 1:
         raise ParseError("vertex count must be positive")
-    if not 1 <= id_range <= MAX_ID_RANGE:
-        raise InvalidId(f"id range {id_range} outside [1, 2^128]")
-    if id_range < n:
-        raise InvalidId(f"id range {id_range} smaller than vertex count {n}")
-    if len(ids) != n:
-        raise ParseError(f"expected {n} id lines, found {len(ids)}")
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidEdge(f"edge endpoint out of range: ({u}, {v})")
-        if u == v:
-            raise InvalidEdge(f"self-loop at {u}")
-    graph = Graph.of(n, edges)
-    assignment = IdAssignment(tuple(ids[v] for v in range(n)), id_range)
-    return graph, assignment
+    return Graph.of(n, edges), ids
 
 
 def serialize_graph(graph: Graph, ids: IdAssignment) -> str:

@@ -125,15 +125,14 @@ def bench_sizes(
         params = SchemeParams(target=spec.target, id_policy=spec.policy)
         for scheme in schemes:
             started = time.perf_counter()
-            stats = ProveStats()
             try:
-                cert = prove_certificate(graph, ids, scheme, params, stats)
-                result = run_all_nodes(graph, ids, cert, params, stats.probes)
+                _, result = prove_and_run(graph, ids, scheme, params)
                 status = "ok" if result.all_accept else "rejected"
-                size = result.size_bits
+                size, probes = result.size_bits, result.prover_probes
             except CertificationError as exc:
                 status = type(exc).__name__
-                size = None
+                # a prover that raises has counted no probe
+                size, probes = None, 0
             wall_ms = (time.perf_counter() - started) * 1000.0
             rows.append(
                 BenchRow(
@@ -143,7 +142,7 @@ def bench_sizes(
                     id_range=id_range,
                     scheme=scheme.label,
                     size_bits=size,
-                    prover_probes=stats.probes,
+                    prover_probes=probes,
                     status=status,
                     wall_ms=wall_ms,
                 )

@@ -39,6 +39,11 @@ def _ceil_exact(endpoint) -> int:
     return n if endpoint == n else n + 1
 
 
+# (k, ell) whose size did not converge: lru_cache keeps no raised errors,
+# and one failed evaluation of a large k costs most of a second
+_UNRESOLVED: set[tuple[int, int]] = set()
+
+
 @lru_cache(maxsize=None)
 def family_size(k: int, ell: int) -> int:
     """Exact ceil(k * e^k * log2(ell)); the degenerate l = 1 family has size 1.
@@ -46,7 +51,9 @@ def family_size(k: int, ell: int) -> int:
     Evaluated with interval arithmetic and directed rounding so the ceiling
     is provably correct; precision is doubled until both interval endpoints
     agree, which terminates because the product is never an integer for
-    k >= 1, ell >= 2.
+    k >= 1, ell >= 2. After eight doublings it gives up with InvalidParams
+    (k = 20000 still converges; k = 40000 does not), at most once per
+    (k, ell) in a process.
     """
     if k < 1:
         raise InvalidParams("k must be positive")
@@ -54,6 +61,8 @@ def family_size(k: int, ell: int) -> int:
         raise InvalidParams(f"family needs k <= ell, got k={k}, ell={ell}")
     if ell == 1:
         return 1
+    if (k, ell) in _UNRESOLVED:
+        raise InvalidParams(f"family_size({k}, {ell}) did not converge")
     iv = mpmath.iv
     prec = _FAMILY_PRECISION_BITS + 2 * k.bit_length()
     for _ in range(8):
@@ -68,6 +77,7 @@ def family_size(k: int, ell: int) -> int:
         if lo == hi:
             return lo
         prec *= 2
+    _UNRESOLVED.add((k, ell))
     raise InvalidParams(f"family_size({k}, {ell}) did not converge")
 
 

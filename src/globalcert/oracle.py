@@ -104,19 +104,27 @@ class AuditReport:
 
 
 def _claims(policy, bounds: AuditBounds):
-    """(claim, M(claim)) for every claim from 1 to bounds.max_claimed_n that
-    the policy defines."""
+    """(claim, M(claim)) for the claims from 1 to bounds.max_claimed_n that
+    the policy defines: every policy that refuses a claim refuses all
+    larger ones, so they end at the first refusal."""
     for claim in range(1, bounds.max_claimed_n + 1):
         try:
             id_range = policy.evaluate(claim)
         except InvalidParams:
-            continue
+            return
         yield claim, id_range
+
+
+def _too_large(bounds: AuditBounds, claim: int) -> TooLarge:
+    """The error for a space that passes max_space at `claim`; the space
+    itself is not named, since it can run to thousands of digits."""
+    return TooLarge(f"certificate space exceeds {bounds.max_space} by claim {claim}")
 
 
 def _hash_claim_plan(params, bounds: AuditBounds):
     """Valid (claim, id_range, buckets, family size) rows; raises TooLarge
-    when the decodable certificates they hold exceed the bounds."""
+    at the first claim that takes the decodable certificates past the
+    bounds."""
     plan = []
     space = 0
     for claim, id_range in _claims(params.id_policy, bounds):
@@ -126,8 +134,8 @@ def _hash_claim_plan(params, bounds: AuditBounds):
         size = family_size(buckets, id_range)
         plan.append((claim, id_range, buckets, size))
         space += size * params.domain_size**buckets
-    if space > bounds.max_space:
-        raise TooLarge(f"certificate space {space} exceeds {bounds.max_space}")
+        if space > bounds.max_space:
+            raise _too_large(bounds, claim)
     return plan
 
 
@@ -233,13 +241,10 @@ def _idlist_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
     plan = []
     space = 0
     for claim, id_range in _claims(params.id_policy, bounds):
-        record_width = (id_range - 1).bit_length() + params.value_width
-        if record_width == 0 and claim > 1:
-            continue  # the decoder rejects oversized zero-width claims
         plan.append((claim, id_range))
         space += (id_range * n_values) ** claim
-    if space > bounds.max_space:
-        raise TooLarge(f"certificate space {space} exceeds {bounds.max_space}")
+        if space > bounds.max_space:
+            raise _too_large(bounds, claim)
 
     tried = 0
     for claim, id_range in plan:
@@ -269,24 +274,30 @@ def _bitmap_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
     from .schemes import BitmapCertificate, encode_bitmap_certificate
 
     n_values = params.domain_size
-    ranges = sorted({id_range for _, id_range in _claims(params.id_policy, bounds)})
+    claims = _claims(params.id_policy, bounds)
 
     if params.value_width == 0:
         # one empty payload; every node checks only that it has no neighbors
-        if not ranges:
+        if next(claims, None) is None:
             return None, 0, None
         cert = Certificate(SchemeTag.BITMAP, Bits.empty())
         if not edges:
             return cert, 1, None
         return None, 1, cert
 
-    # n_values ** id_range overflows memory long before it compares small,
-    # so bound the exponent first (n_values >= 2 here: width > 0)
-    if any(id_range > bounds.max_space.bit_length() for id_range in ranges):
-        raise TooLarge("bitmap space beyond enumerable bounds")
-    space = sum(n_values**id_range for id_range in ranges)
-    if space > bounds.max_space:
-        raise TooLarge(f"certificate space {space} exceeds {bounds.max_space}")
+    ranges = []
+    space = 0
+    for claim, id_range in claims:
+        if ranges and ranges[-1] == id_range:
+            continue  # M is non-decreasing: each range once, ascending
+        # n_values ** id_range overflows memory long before it compares
+        # small, so bound the exponent first (n_values >= 2: width > 0)
+        if id_range > bounds.max_space.bit_length():
+            raise _too_large(bounds, claim)
+        ranges.append(id_range)
+        space += n_values**id_range
+        if space > bounds.max_space:
+            raise _too_large(bounds, claim)
 
     tried = 0
     for id_range in ranges:

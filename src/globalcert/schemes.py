@@ -184,22 +184,25 @@ def decode_assignment_fields(
     any syntactic violation, including out-of-range index or entries."""
     reader = BitReader(payload)
     claimed_n = reader.read_gamma()
-    # the index alone needs more than `claimed_n` bits, so any honest claim
-    # fits this cheap bound; it blocks absurd claims before family_size
-    if claimed_n > payload.length:
+    buckets = math.ceil(multiplier * claimed_n)
+    width = (value_count - 1).bit_length()
+    # a claim n >= 2 needs M >= 2, so its family for k buckets has at least
+    # e^k members: the index takes over 1.4426 k bits and the entries k *
+    # width more. This refuses a claim the payload cannot hold before
+    # family_size, whose cost grows with k and which stops converging
+    # between k = 20000 and k = 40000
+    if claimed_n > 1 and buckets * (14426 + 10000 * width) > 10000 * reader.bits_left():
         raise MalformedCertificate("claimed n larger than the payload allows")
     try:
         id_range = policy.evaluate(claimed_n)
+        if buckets > id_range:
+            raise MalformedCertificate("more buckets than the identifier range")
+        spec = HashFamilySpec.for_params(buckets, id_range)
     except InvalidParams as exc:
         raise MalformedCertificate(str(exc)) from None
-    buckets = math.ceil(multiplier * claimed_n)
-    if buckets > id_range:
-        raise MalformedCertificate("more buckets than the identifier range")
-    spec = HashFamilySpec.for_params(buckets, id_range)
     hash_index = reader.read(spec.index_width)
     if hash_index >= spec.size:
         raise MalformedCertificate("hash index outside the family")
-    width = (value_count - 1).bit_length()
     values = []
     for _ in range(buckets):
         v = reader.read(width)

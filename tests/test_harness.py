@@ -1,13 +1,18 @@
 import math
 import random
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+
+from hypothesis import assume, example, given, settings, strategies as st
 
 from globalcert import (
     BenchSpec,
     BitmapCertificate,
     Bits,
     Certificate,
+    CspConstraint,
+    CspInstance,
+    CspParams,
     Graph,
     IdAssignment,
     IdListCertificate,
@@ -17,6 +22,7 @@ from globalcert import (
     SchemeTag,
     bench_sizes,
     clique,
+    csp_view,
     cycle,
     decode_certificate,
     default_bench_specs,
@@ -27,6 +33,7 @@ from globalcert import (
     random_id_assignment,
     rows_to_csv,
     run_all_nodes,
+    verify_csp_variable,
 )
 from globalcert.harness import CSV_HEADER
 from globalcert.schemes import HashCertificate, decode_hash_payload, encode_certificate
@@ -173,6 +180,63 @@ class TestSoundnessAtScale:
             colour = [entries[i] for i in ids.ids]
         assert None not in colour
         assert all(target.has_edge(colour[u], colour[v]) for u, v in graph.edges)
+
+
+def planted_csp(n: int, domain: int, multiplier: Fraction, rng: random.Random):
+    """(instance, honest hash certificate, params) under M = n^2: the values
+    come from a random family member and table, then each constraint, of
+    arity 1 to 3, allows the planted tuple and up to three random ones."""
+    params = CspParams(domain, IdRangePolicy.poly(2), multiplier)
+    id_range, buckets = n * n, params.bucket_count(n)
+    assume(buckets <= id_range)
+    ids = random_id_assignment(n, id_range, rng.randrange(1 << 32))
+    index = rng.randrange(family_size(buckets, id_range))
+    table = tuple(rng.randrange(domain) for _ in range(buckets))
+    value = [table[eval_hash(index, i, buckets)] for i in ids.ids]
+    constraints = []
+    for _ in range(rng.randrange(2 * n + 1)):
+        scope = tuple(rng.sample(range(n), rng.randrange(1, min(3, n) + 1)))
+        rows = {tuple(rng.randrange(domain) for _ in scope) for _ in range(rng.randrange(4))}
+        constraints.append(CspConstraint(scope, frozenset(rows | {tuple(value[v] for v in scope)})))
+    instance = CspInstance(n, domain, ids, tuple(constraints))
+    return instance, encode_certificate(HashCertificate(n, index, table), params), params
+
+
+class TestCspSoundnessAtScale:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        domain=st.integers(2, 3),
+        multiplier=st.sampled_from([Fraction(1), Fraction(3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        edits=st.lists(
+            st.tuples(st.sampled_from(["flip", "truncate", "append"]), st.integers(0, 2**16)),
+            max_size=3,
+        ),
+        forged=st.none(),
+    )
+    # gamma(claim) then zeros up to the length: claims whose member index
+    # the payload cannot hold
+    @example(n=6, domain=2, multiplier=Fraction(1), seed=0, edits=[], forged=(100_000, 100_097))
+    @example(n=6, domain=2, multiplier=Fraction(1), seed=0, edits=[], forged=(40_000, 60_000))
+    def test_accepted_certificates_decode_to_a_solution(self, n, domain, multiplier, seed, edits, forged):
+        instance, honest, params = planted_csp(n, domain, multiplier, random.Random(seed))
+        if forged is not None:
+            claim, length = forged
+            honest = Certificate(SchemeTag.HASH, Bits.from01(format(claim, "b").zfill(2 * claim.bit_length() - 1).ljust(length, "0")))
+        cert = mutated(honest, edits)
+        decisions = [verify_csp_variable(csp_view(instance, v, cert.payload), params) for v in range(n)]
+        if not edits and forged is None:
+            assert all(decisions)
+        if forged is not None:
+            assert not any(decisions)
+        if not all(decisions):
+            return
+        decoded = decode_hash_payload(cert.payload, params)
+        id_range, buckets = params.id_policy.evaluate(decoded.claimed_n), len(decoded.colors)
+        value = [decoded.colors[eval_hash(decoded.hash_index, i, buckets)] if i < id_range else None for i in instance.ids.ids]
+        assert None not in value
+        assert all(tuple(value[v] for v in ct.scope) in ct.relation for ct in instance.constraints)
 
 
 class TestProbeStatistics:

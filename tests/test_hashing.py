@@ -92,6 +92,17 @@ class TestFamilySize:
         assert spec.index_width == 5
         assert HashFamilySpec.for_params(1, 1).index_width == 0
 
+    def test_a_size_that_does_not_converge_is_tried_once(self, monkeypatch):
+        # lru_cache keeps no raised error; the failed (k, ell) is kept instead
+        monkeypatch.setattr(hashing, "_UNRESOLVED", set())
+        endpoints = []
+        ceil_exact = hashing._ceil_exact
+        monkeypatch.setattr(hashing, "_ceil_exact", lambda x: endpoints.append(x) or ceil_exact(x))
+        for _ in range(3):
+            with pytest.raises(InvalidParams, match="did not converge"):
+                family_size(40_000, 40_000**2)
+        assert len(endpoints) == 16  # eight precisions, two endpoints, first call only
+
 
 # --- independent mixer implementation on numpy uint64 words -----------------
 

@@ -156,6 +156,23 @@ class TestAudit:
                 K3, ids, SchemeTag.BITMAP, fixed8_params(), AuditBounds(max_space=100)
             )
 
+    @pytest.mark.parametrize("scheme, over_at", [(SchemeTag.HASH, 7), (SchemeTag.IDLIST, 2), (SchemeTag.BITMAP, 1)])
+    def test_space_ends_at_the_first_claim_past_the_bound(self, monkeypatch, scheme, over_at):
+        # M = 10^6 for every claim up to 10^6: the space passes 10^7 at
+        # `over_at` (hash: sum of family_size(k, 10^6) * 2^k), and no claim
+        # after it is sized
+        import globalcert.oracle as oracle
+
+        sized = []
+        monkeypatch.setattr(oracle, "family_size", lambda k, ell: sized.append(k) or family_size(k, ell))
+        params = SchemeParams(K2, IdRangePolicy.fixed(10**6))
+        with pytest.raises(TooLarge, match=f"^certificate space exceeds 10000000 by claim {over_at}$"):
+            audit_soundness(K3, IdAssignment((1, 4, 7), 9), scheme, params, AuditBounds(max_claimed_n=10**6))
+        assert sized == (list(range(1, over_at + 1)) if scheme is SchemeTag.HASH else [])
+        if scheme is SchemeTag.HASH:
+            spaces = [family_size(k, 10**6) * 2**k for k in range(1, over_at + 1)]
+            assert sum(spaces[:-1]) <= 10**7 < sum(spaces)
+
     def test_accepted_hash_witness_induces_homomorphism(self):
         rng = random.Random(3)
         params = fixed8_params()

@@ -8,6 +8,7 @@ from globalcert import (
     Bits,
     BitmapTooLarge,
     Certificate,
+    CspParams,
     Graph,
     HashCertificate,
     IdAssignment,
@@ -20,8 +21,11 @@ from globalcert import (
     SchemeTag,
     certificate_size_bits,
     clique,
+    csp_view,
+    cycle,
     decode_certificate,
     encode_certificate,
+    graph_to_csp,
     local_view,
     prove_bitmap,
     prove_hash,
@@ -30,6 +34,7 @@ from globalcert import (
     random_id_assignment,
     run_all_nodes,
     verify_bitmap,
+    verify_csp_variable,
     verify_hash,
     verify_idlist,
 )
@@ -397,3 +402,19 @@ class TestVerifierTotality:
         isolated = Graph.of(1)
         one_id = IdAssignment((2,), 4)
         assert verify_bitmap(view_of(isolated, one_id, 0, empty), params)
+
+    @pytest.mark.parametrize("claim, length", [(100_000, 100_097), (40_000, 60_000), (40_000, 100_000)])
+    def test_claims_beyond_the_family_size_reject_everywhere(self, claim, length):
+        # gamma(claim) then zeros: the first two payloads are too short for
+        # the claim's member index; the third is long enough, and
+        # family_size(40000, 40000^2) does not converge
+        payload = Bits.from01(format(claim, "b").zfill(2 * claim.bit_length() - 1).ljust(length, "0"))
+        policy = IdRangePolicy.poly(2)
+        graph, ids = cycle(6), random_id_assignment(6, 36, 1)
+        params, cert = SchemeParams(K2, policy), Certificate(SchemeTag.HASH, payload)
+        with pytest.raises(MalformedCertificate):
+            decode_hash_payload(payload, params)
+        assert not any(verify_hash(view_of(graph, ids, v, cert), params) for v in range(6))
+        assert run_all_nodes(graph, ids, cert, params).decisions == (False,) * 6
+        instance, csp_params = graph_to_csp(graph, ids, K2), CspParams(2, policy)
+        assert not any(verify_csp_variable(csp_view(instance, v, payload), csp_params) for v in range(6))
