@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import Bits
-from .errors import InvalidParams, MalformedCertificate, NotSatisfiable, ParseError, TooLarge
+from .errors import InvalidParams, NotSatisfiable, ParseError, TooLarge
 from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph, _integers, read_instance
 from .hashing import perfect_hash_search  # noqa: F401  kept: perfbench/tracing.py patches it here
-from .schemes import Certificate, ProveStats, hash_colors, prove_hash_table
+from .schemes import Certificate, ProveStats, hash_colors, prove_hash_table, shared_lookup
 from .schemes import decode_assignment_fields, encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
 
 
@@ -213,11 +213,8 @@ def prove_csp(
 def verify_csp_variable(view: CspView, params: CspParams) -> bool:
     """Accept iff the payload decodes and, for every incident constraint,
     the tuple of values found at the scope identifiers' buckets is allowed."""
-    try:
-        lookup = hash_colors(view.certificate, params)
-    except MalformedCertificate:
-        return False
-    if lookup(view.own_id) is None:
+    lookup = shared_lookup(hash_colors, view.certificate, params)
+    if lookup is None or lookup(view.own_id) is None:
         return False
     # no relation row holds the None of an identifier outside M(claimed n)
     return all(

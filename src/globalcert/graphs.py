@@ -164,6 +164,10 @@ class IdRangePolicy:
         if self.kind == "fixed":
             m = self.param
         elif self.kind == "poly":
+            # n^param >= 2^(floor(log2 n) * param): refuse a power past 2^128
+            # before taking it, so a large exponent costs nothing
+            if n > 1 and (n.bit_length() - 1) * self.param > 128:
+                raise InvalidParams(f"M(n) = {n}^{self.param} exceeds 2^128")
             m = n**self.param
             if m > MAX_ID_RANGE:
                 raise InvalidParams(f"M(n) = {n}^{self.param} exceeds 2^128")

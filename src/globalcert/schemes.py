@@ -13,9 +13,16 @@ from its LocalView alone. Payload layouts (all MSB-first):
 Each verifier turns the payload into a color lookup (identifier -> color,
 or None when the certificate gives it no valid color): L[h(id)] below
 M(claimed n) for HASH; the record table for IDLIST, None everywhere if
-unsorted; the color at position id for BITMAP, read lazily. One check then
-accepts iff the node's own identifier and its neighbors' have colors and
-every incident color pair is a target edge.
+unsorted; the color at position id for BITMAP, whose every entry must lie
+in the target. One check then accepts iff the node's own identifier and its
+neighbors' have colors and every incident color pair is a target edge.
+
+The certificate is global, so its lookup depends only on the payload and
+the params. `shared_lookup` builds it once for the nodes of a network: it
+keeps the last (colors_of, payload, params) it saw, compared by value, and
+its lookup computes each identifier's color once. A node verifier asks it
+for the lookup, so a network of n nodes decodes once, not n times, while
+each node still decides alone.
 
 The HASH path is shared with the CSP scheme, which differs only in what an
 entry of L means: `prove_hash_table` is the one prover tail (range check,
@@ -30,6 +37,7 @@ acceptance already forces u -> L[h(Id(u))] to be a homomorphism.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -298,13 +306,9 @@ def decode_idlist_payload(payload: Bits, params: SchemeParams) -> IdListCertific
         raise MalformedCertificate(str(exc)) from None
     id_width = (id_range - 1).bit_length()
     width = params.value_width
-    record_width = id_width + width
-    if record_width == 0:
-        # single possible record (id 0, color 0); lists of length >= 2 can
-        # never be strictly ascending, so cap the claim instead of looping
-        if claimed_n > 1:
-            raise MalformedCertificate("oversized claim for zero-width records")
-    elif claimed_n * record_width > reader.bits_left():
+    # a zero record width needs M(claimed n) = 1, which `evaluate` allows
+    # only for a claim of 1
+    if claimed_n * (id_width + width) > reader.bits_left():
         raise MalformedCertificate("claimed n larger than the payload allows")
     records = []
     for _ in range(claimed_n):
@@ -487,13 +491,36 @@ def _idlist_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
     return dict(records).get
 
 
+def _some_field_at_least(fields: int, count: int, width: int, bound: int) -> bool:
+    """Whether one of the `count` width-bit fields packed in `fields` is at
+    least `bound`, compared MSB first one bit plane at a time: `ones` has a
+    1 at each field's lowest bit, and `equal` marks the fields whose high
+    bits so far equal the bound's."""
+    if bound >> width:
+        return False
+    ones = ((1 << (count * width)) - 1) // ((1 << width) - 1)
+    greater, equal = 0, ones
+    for j in reversed(range(width)):
+        plane = (fields >> j) & ones
+        if (bound >> j) & 1:
+            equal &= plane
+        else:
+            greater |= equal & plane
+    return (greater | equal) != 0
+
+
 def _bitmap_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
+    """The entry at position id; refuses the payload, as
+    `decode_bitmap_payload` does, if any entry lies outside the target."""
     width = params.value_width
     content = _bitmap_content_bits(payload, params)
     if width == 0:
         return lambda identifier: 0
     id_range = content // width
-    data, value_count = payload.data, params.target.vertex_count
+    data = payload.data
+    fields = int.from_bytes(data, "big") >> (8 * len(data) - content)
+    if _some_field_at_least(fields, id_range, width, params.target.vertex_count):
+        raise MalformedCertificate("color outside the target")
 
     def lookup(identifier: int) -> int | None:
         if identifier >= id_range:
@@ -501,9 +528,23 @@ def _bitmap_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
         color = 0
         for i in range(identifier * width, (identifier + 1) * width):
             color = (color << 1) | ((data[i >> 3] >> (7 - (i & 7))) & 1)
-        return color if color < value_count else None
+        return color
 
     return lookup
+
+
+@functools.lru_cache(maxsize=1)
+def shared_lookup(colors_of, payload: Bits, params) -> ColorLookup | None:
+    """`colors_of(payload, params)` with each identifier's color memoised,
+    or None for a MalformedCertificate, which every node rejects.
+
+    One entry, keyed by value: the nodes of one network share it, and the
+    next certificate or params replace it. `params` is SchemeParams or
+    CspParams."""
+    try:
+        return functools.cache(colors_of(payload, params))
+    except MalformedCertificate:
+        return None
 
 
 def check(lookup: ColorLookup, view: LocalView, params: SchemeParams) -> bool:
@@ -520,11 +561,8 @@ def check(lookup: ColorLookup, view: LocalView, params: SchemeParams) -> bool:
 
 
 def _decide(colors_of, view: LocalView, params: SchemeParams) -> bool:
-    try:
-        lookup = colors_of(view.certificate, params)
-    except MalformedCertificate:
-        return False
-    return check(lookup, view, params)
+    lookup = shared_lookup(colors_of, view.certificate, params)
+    return lookup is not None and check(lookup, view, params)
 
 
 def verify_hash(view: LocalView, params: SchemeParams) -> bool:

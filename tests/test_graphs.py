@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,6 +283,17 @@ class TestIdRangePolicy:
         with pytest.raises(InvalidParams):
             IdRangePolicy.poly(0)
 
+    def test_poly_refuses_a_power_past_2_128_before_taking_it(self):
+        p = IdRangePolicy.parse("poly:10000000")
+        assert p.evaluate(1) == 1
+        started = time.perf_counter()
+        with pytest.raises(InvalidParams):
+            p.evaluate(6)  # 6^(10^7) has 26 million bits
+        assert time.perf_counter() - started < 1.0
+        assert IdRangePolicy.poly(128).evaluate(2) == 2**128
+        with pytest.raises(InvalidParams):
+            IdRangePolicy.poly(128).evaluate(3)
+
     def test_doubly_exponential(self):
         p = IdRangePolicy.doubly_exponential()
         assert p.evaluate(1) == 4
@@ -305,7 +317,7 @@ class TestIdRangePolicy:
 
 POLICIES = [
     *(IdRangePolicy.fixed(m) for m in (1, 7, 2**100, 2**128)),
-    *(IdRangePolicy.poly(c) for c in (1, 2, 3, 4)),
+    *(IdRangePolicy.poly(c) for c in (1, 2, 3, 4, 64, 128, 129)),
     IdRangePolicy.doubly_exponential(),
 ]
 

@@ -3,7 +3,7 @@ import random
 
 from fractions import Fraction
 
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from globalcert import (
     BenchSpec,
@@ -35,8 +35,19 @@ from globalcert import (
     run_all_nodes,
     verify_csp_variable,
 )
+from globalcert import schemes
+from globalcert.graphs import local_view
 from globalcert.harness import CSV_HEADER
-from globalcert.schemes import HashCertificate, decode_hash_payload, encode_certificate
+from globalcert.schemes import (
+    HashCertificate,
+    _bitmap_colors,
+    _idlist_colors,
+    check,
+    decode_hash_payload,
+    encode_certificate,
+    hash_colors,
+    shared_lookup,
+)
 
 K2 = clique(2)
 
@@ -140,25 +151,24 @@ def colours_read(cert: Certificate, params: SchemeParams, ids: IdAssignment):
     return [decoded.colors[i] if i < len(decoded.colors) else None for i in ids.ids]
 
 
-def bitmap_entries(cert: Certificate, width: int) -> list[int]:
-    bits = cert.payload.to01()
-    return [int(bits[i : i + width], 2) for i in range(0, len(bits) - width + 1, width)]
+TARGETS = {"K2": clique(2), "K3": clique(3), "C5": cycle(5)}
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["flip", "truncate", "append"]), st.integers(0, 2**16)),
+    max_size=3,
+)
 
 
 class TestSoundnessAtScale:
     @settings(max_examples=300, deadline=None)
     @given(
         scheme=st.sampled_from(list(SchemeTag)),
-        target=st.sampled_from(["K2", "K3", "C5"]),
+        target=st.sampled_from(list(TARGETS)),
         n=st.integers(1, 64),
         seed=st.integers(0, 2**32 - 1),
-        edits=st.lists(
-            st.tuples(st.sampled_from(["flip", "truncate", "append"]), st.integers(0, 2**16)),
-            max_size=3,
-        ),
+        edits=EDITS,
     )
     def test_accepted_certificates_decode_to_a_homomorphism(self, scheme, target, n, seed, edits):
-        target = {"K2": clique(2), "K3": clique(3), "C5": cycle(5)}[target]
+        target = TARGETS[target]
         graph, ids, honest, params = planted(scheme, target, n, random.Random(seed))
         cert = mutated(honest, edits)
         result = run_all_nodes(graph, ids, cert, params)
@@ -167,17 +177,7 @@ class TestSoundnessAtScale:
             assert result.all_accept
         if not result.all_accept:
             return
-        try:
-            colour = colours_read(cert, params, ids)
-        except MalformedCertificate:
-            # a bitmap node reads only its own and its neighbours' entries,
-            # while the decoder refuses an entry outside the target at any
-            # identifier: the refusal must come from an entry no node reads
-            assert scheme is SchemeTag.BITMAP
-            entries = bitmap_entries(cert, params.value_width)
-            unread = set(range(len(entries))) - set(ids.ids)
-            assert any(entries[i] >= target.vertex_count for i in unread)
-            colour = [entries[i] for i in ids.ids]
+        colour = colours_read(cert, params, ids)
         assert None not in colour
         assert all(target.has_edge(colour[u], colour[v]) for u, v in graph.edges)
 
@@ -188,7 +188,8 @@ def planted_csp(n: int, domain: int, multiplier: Fraction, rng: random.Random):
     arity 1 to 3, allows the planted tuple and up to three random ones."""
     params = CspParams(domain, IdRangePolicy.poly(2), multiplier)
     id_range, buckets = n * n, params.bucket_count(n)
-    assume(buckets <= id_range)
+    if buckets > id_range:
+        reject()
     ids = random_id_assignment(n, id_range, rng.randrange(1 << 32))
     index = rng.randrange(family_size(buckets, id_range))
     table = tuple(rng.randrange(domain) for _ in range(buckets))
@@ -202,6 +203,10 @@ def planted_csp(n: int, domain: int, multiplier: Fraction, rng: random.Random):
     return instance, encode_certificate(HashCertificate(n, index, table), params), params
 
 
+def csp_decisions(instance, cert, params):
+    return [verify_csp_variable(csp_view(instance, v, cert.payload), params) for v in range(instance.variable_count)]
+
+
 class TestCspSoundnessAtScale:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -209,10 +214,7 @@ class TestCspSoundnessAtScale:
         domain=st.integers(2, 3),
         multiplier=st.sampled_from([Fraction(1), Fraction(3, 2)]),
         seed=st.integers(0, 2**32 - 1),
-        edits=st.lists(
-            st.tuples(st.sampled_from(["flip", "truncate", "append"]), st.integers(0, 2**16)),
-            max_size=3,
-        ),
+        edits=EDITS,
         forged=st.none(),
     )
     # gamma(claim) then zeros up to the length: claims whose member index
@@ -225,7 +227,7 @@ class TestCspSoundnessAtScale:
             claim, length = forged
             honest = Certificate(SchemeTag.HASH, Bits.from01(format(claim, "b").zfill(2 * claim.bit_length() - 1).ljust(length, "0")))
         cert = mutated(honest, edits)
-        decisions = [verify_csp_variable(csp_view(instance, v, cert.payload), params) for v in range(n)]
+        decisions = csp_decisions(instance, cert, params)
         if not edits and forged is None:
             assert all(decisions)
         if forged is not None:
@@ -237,6 +239,128 @@ class TestCspSoundnessAtScale:
         value = [decoded.colors[eval_hash(decoded.hash_index, i, buckets)] if i < id_range else None for i in instance.ids.ids]
         assert None not in value
         assert all(tuple(value[v] for v in ct.scope) in ct.relation for ct in instance.constraints)
+
+
+UNCACHED = {SchemeTag.HASH: hash_colors, SchemeTag.IDLIST: _idlist_colors, SchemeTag.BITMAP: _bitmap_colors}
+
+
+def fresh_decisions(graph, ids, cert, params):
+    """Each node decoding the payload itself, with no shared lookup."""
+    out = []
+    for v in range(graph.vertex_count):
+        view = local_view(graph, ids, v, cert.payload)
+        try:
+            lookup = UNCACHED[cert.scheme](cert.payload, params)
+        except MalformedCertificate:
+            out.append(False)
+        else:
+            out.append(check(lookup, view, params))
+    return tuple(out)
+
+
+def fresh_csp_decisions(instance, cert, params):
+    """Each variable decoding the payload itself, with no shared lookup."""
+    out = []
+    for v in range(instance.variable_count):
+        view = csp_view(instance, v, cert.payload)
+        try:
+            lookup = hash_colors(cert.payload, params)
+        except MalformedCertificate:
+            out.append(False)
+        else:
+            out.append(
+                lookup(view.own_id) is not None
+                and all(tuple(map(lookup, scope)) in relation for scope, relation in view.constraints)
+            )
+    return out
+
+
+def partly_rejected(graph, ids, honest, params):
+    """The first one-bit flip of `honest` that some node accepts and some
+    node rejects."""
+    for at in range(honest.payload.length):
+        cert = mutated(honest, [("flip", at)])
+        decisions = fresh_decisions(graph, ids, cert, params)
+        if any(decisions) and not all(decisions):
+            return cert
+    raise AssertionError("no flip rejects at only some nodes")
+
+
+class TestSharedLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scheme=st.sampled_from(list(SchemeTag)),
+        target=st.sampled_from(list(TARGETS)),
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        edits=EDITS,
+    )
+    def test_network_decisions_match_a_fresh_decode_per_node(self, scheme, target, n, seed, edits):
+        graph, ids, honest, params = planted(scheme, TARGETS[target], n, random.Random(seed))
+        cert = mutated(honest, edits)
+        assert run_all_nodes(graph, ids, cert, params).decisions == fresh_decisions(graph, ids, cert, params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        domain=st.integers(2, 3),
+        multiplier=st.sampled_from([Fraction(1), Fraction(3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
+        edits=EDITS,
+    )
+    def test_csp_decisions_match_a_fresh_decode_per_variable(self, n, domain, multiplier, seed, edits):
+        instance, honest, params = planted_csp(n, domain, multiplier, random.Random(seed))
+        cert = mutated(honest, edits)
+        assert csp_decisions(instance, cert, params) == fresh_csp_decisions(instance, cert, params)
+
+    def test_one_decode_per_network(self, monkeypatch):
+        calls = []
+        for name in ("decode_hash_payload", "decode_idlist_payload"):
+            original = getattr(schemes, name)
+
+            def counted(payload, params, original=original):
+                calls.append(payload)
+                return original(payload, params)
+
+            monkeypatch.setattr(schemes, name, counted)
+        rng = random.Random(5)
+        for scheme in (SchemeTag.HASH, SchemeTag.IDLIST):
+            graph, ids, honest, params = planted(scheme, clique(3), 40, rng)
+            for cert in (honest, mutated(honest, [("truncate", 2)])):
+                shared_lookup.cache_clear()
+                calls.clear()
+                decisions = run_all_nodes(graph, ids, cert, params).decisions
+                assert calls == [cert.payload]
+                assert all(decisions) == (cert is honest)
+        instance, honest, params = planted_csp(12, 3, Fraction(1), rng)
+        for cert in (honest, mutated(honest, [("truncate", 2)])):
+            shared_lookup.cache_clear()
+            calls.clear()
+            decisions = csp_decisions(instance, cert, params)
+            assert calls == [cert.payload]
+            assert all(decisions) == (cert is honest)
+
+    def test_no_stale_lookup_across_certificates(self):
+        rng = random.Random(8)
+        for scheme in SchemeTag:
+            graph, ids, a, params = planted(scheme, clique(3), 30, rng)
+            b = partly_rejected(graph, ids, a, params)
+            for cert in (a, b, a):
+                assert run_all_nodes(graph, ids, cert, params).decisions == fresh_decisions(graph, ids, cert, params)
+        instance, a, params = planted_csp(12, 3, Fraction(1), rng)
+        b = mutated(a, [("flip", a.payload.length - 1)])
+        assert csp_decisions(instance, a, params) != csp_decisions(instance, b, params)
+        for cert in (a, b, a):
+            assert csp_decisions(instance, cert, params) == fresh_csp_decisions(instance, cert, params)
+
+    def test_no_stale_lookup_across_targets(self):
+        rng = random.Random(9)
+        for scheme in SchemeTag:
+            graph, ids, cert, k4 = planted(scheme, clique(4), 30, rng)
+            k3 = SchemeParams(clique(3), k4.id_policy)
+            runs = [run_all_nodes(graph, ids, cert, params).decisions for params in (k4, k3, k4)]
+            assert runs == [fresh_decisions(graph, ids, cert, params) for params in (k4, k3, k4)]
+            assert all(runs[0]) and not all(runs[1])
 
 
 class TestProbeStatistics:

@@ -309,6 +309,19 @@ class TestBitmapScheme:
         result = run_all_nodes(graph, ids, bad, params)
         assert not result.all_accept
 
+    def test_slack_value_at_an_unread_identifier_rejects_everywhere(self):
+        # no node reads id 1, but the verifier, like the decoder, refuses a
+        # bitmap with any entry outside the target
+        params = SchemeParams(target=clique(3), id_policy=IdRangePolicy.fixed(4))
+        graph = Graph.of(2, [(0, 1)])
+        ids = IdAssignment((0, 3), 4)
+        bits = list(prove_bitmap(graph, ids, params).payload.to01())
+        bits[2:4] = "11"
+        bad = Certificate(SchemeTag.BITMAP, Bits.from01("".join(bits)))
+        assert not any(run_all_nodes(graph, ids, bad, params).decisions)
+        with pytest.raises(MalformedCertificate):
+            decode_certificate(bad, params)
+
 
 class TestIdListScheme:
     def test_single_edge_example(self):
