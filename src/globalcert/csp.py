@@ -241,6 +241,8 @@ def parse_csp(text: str) -> CspInstance:
         scope = tuple(head[1:-1])
         if head[0] != len(scope):
             raise ParseError(f"line {lineno}: expected '{form}'")
+        if head[-1] < 0:
+            raise ParseError(f"line {lineno}: negative row count {head[-1]}")
         rows = set()
         for _ in range(head[-1]):
             row = next(records, None)

@@ -121,24 +121,6 @@ def _too_large(bounds: AuditBounds, claim: int) -> TooLarge:
     return TooLarge(f"certificate space exceeds {bounds.max_space} by claim {claim}")
 
 
-def _hash_claim_plan(params, bounds: AuditBounds):
-    """Valid (claim, id_range, buckets, family size) rows; raises TooLarge
-    at the first claim that takes the decodable certificates past the
-    bounds."""
-    plan = []
-    space = 0
-    for claim, id_range in _claims(params.id_policy, bounds):
-        buckets = params.bucket_count(claim)
-        if buckets > id_range:
-            continue
-        size = family_size(buckets, id_range)
-        plan.append((claim, id_range, buckets, size))
-        space += size * params.domain_size**buckets
-        if space > bounds.max_space:
-            raise _too_large(bounds, claim)
-    return plan
-
-
 def _first_accepted(positions, width, n_values, scopes, relations):
     """({position: entry} for the positions in use, rank) of the first
     vector in itertools.product(range(n_values), repeat=width) that puts
@@ -159,43 +141,76 @@ def _first_accepted(positions, width, n_values, scopes, relations):
     return entries, sum(v * n_values ** (width - 1 - p) for p, v in entries.items())
 
 
-def _hash_space(params, bounds, variable_ids, scopes, relations):
-    """First accepted hash certificate (claim, index, entries) in canonical
-    order, where the entries at the buckets of a scope's variables, given as
-    positions in `variable_ids`, form a tuple of its relation. Returns the
-    accepted certificate or None, the count tried, and the canonically first
-    certificate (None for an empty space). `params` is SchemeParams or
-    CspParams."""
+def _scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
+    """First accepted certificate in canonical order over the blocks
+    (claim, id_range, width, members) that `rows` yields: each member holds
+    n_values**width entry vectors, variable v reads position read(member,
+    width)[v], and make(claim, member, vector) is the certificate. Raises
+    TooLarge, before solving, at the first claim past max_space. A member
+    whose pattern is known unsolvable is counted whole, as is a block some
+    identifier lies at or above (every node rejects it). Returns the
+    accepted certificate or None, the count tried, and the canonically
+    first certificate (None for an empty space)."""
     n_values = params.domain_size
-    plan = _hash_claim_plan(params, bounds)
-    mixed = [_mix_input(i) for i in variable_ids]
+    plan = []
+    space = 0
+    for claim, id_range, width, members in rows:
+        # n_values ** width overflows memory long before it compares small,
+        # so bound the exponent first
+        if n_values > 1 and width > bounds.max_space.bit_length():
+            raise _too_large(bounds, claim)
+        space += members * n_values**width
+        if space > bounds.max_space:
+            raise _too_large(bounds, claim)
+        plan.append((claim, id_range, width, members))
+
     # whether a member has a solution depends only on which variables share
-    # a bucket: unsolvable patterns, each variable's bucket replaced by the
-    # first variable in that bucket
+    # a position: unsolvable patterns, each variable's position replaced by
+    # the first variable at that position
     unsolvable = set()
     tried = 0
-    for claim, id_range, buckets, size in plan:
-        entry_space = n_values**buckets
+    for claim, id_range, width, members in plan:
+        entry_space = n_values**width
         if any(i >= id_range for i in variable_ids):
-            tried += size * entry_space  # every node rejects out-of-range ids
+            tried += members * entry_space
             continue
-        for index in range(size):
-            salt = _fin(index)
-            b = [_fin(m ^ salt) % buckets for m in mixed]
-            pattern = tuple(map(b.index, b))
+        for member in range(members):
+            positions = read(member, width)
+            pattern = tuple(map(positions.index, positions))
             if pattern not in unsolvable:
-                found = _first_accepted(b, buckets, n_values, scopes, relations)
+                found = _first_accepted(positions, width, n_values, scopes, relations)
                 if found is not None:
                     entries, rank = found
-                    colors = tuple(entries.get(p, 0) for p in range(buckets))
-                    cert = encode_hash_certificate(HashCertificate(claim, index, colors), params)
-                    return cert, tried + rank + 1, None
+                    colors = tuple(entries.get(p, 0) for p in range(width))
+                    return make(claim, member, colors), tried + rank + 1, None
                 unsolvable.add(pattern)
             tried += entry_space
     if not plan:
         return None, tried, None
-    first = HashCertificate(plan[0][0], 0, (0,) * plan[0][2])
-    return None, tried, encode_hash_certificate(first, params)
+    return None, tried, make(plan[0][0], 0, (0,) * plan[0][2])
+
+
+def _hash_space(params, bounds, variable_ids, scopes, relations):
+    """First accepted hash certificate (claim, index, entries): one block
+    per claim whose buckets fit below M(claim), holding every family member,
+    in which variable v reads the bucket its identifier hashes to. `params`
+    is SchemeParams or CspParams."""
+    mixed = [_mix_input(i) for i in variable_ids]
+
+    def read(index, buckets):
+        salt = _fin(index)
+        return [_fin(m ^ salt) % buckets for m in mixed]
+
+    def make(claim, index, colors):
+        return encode_hash_certificate(HashCertificate(claim, index, colors), params)
+
+    def rows():
+        for claim, id_range in _claims(params.id_policy, bounds):
+            buckets = params.bucket_count(claim)
+            if buckets <= id_range:
+                yield claim, id_range, buckets, family_size(buckets, id_range)
+
+    return _scan(params, bounds, rows(), read, make, variable_ids, scopes, relations)
 
 
 def audit_soundness(
@@ -235,6 +250,7 @@ def _idlist_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
     the vertices take the first coloring in identifier order, the others
     color 0. It exists only when n <= claim <= M(claim) and every identifier
     lies below M(claim); otherwise the claim's whole space is counted."""
+    # looked up at call time, where a tracer may have wrapped the encoder
     from .schemes import IdListCertificate, encode_idlist_certificate
 
     n_values = params.domain_size
@@ -268,50 +284,33 @@ def _idlist_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
 
 
 def _bitmap_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
-    """First accepted bitmap in canonical order (ranges ascending, then the
-    colors at identifiers 0, 1, ... ascending)."""
-    from .bits import Bits
+    """First accepted bitmap in canonical order: a one-member block per
+    distinct range, ascending, in which each vertex reads the color at its
+    identifier."""
+    # looked up at call time, where a tracer may have wrapped the encoder
     from .schemes import BitmapCertificate, encode_bitmap_certificate
 
-    n_values = params.domain_size
-    claims = _claims(params.id_policy, bounds)
+    def make(claim, member, colors):
+        return encode_bitmap_certificate(BitmapCertificate(colors), params)
 
+    claims = _claims(params.id_policy, bounds)
     if params.value_width == 0:
         # one empty payload; every node checks only that it has no neighbors
         if next(claims, None) is None:
             return None, 0, None
-        cert = Certificate(SchemeTag.BITMAP, Bits.empty())
+        cert = make(1, 0, ())
         if not edges:
             return cert, 1, None
         return None, 1, cert
 
-    ranges = []
-    space = 0
-    for claim, id_range in claims:
-        if ranges and ranges[-1] == id_range:
-            continue  # M is non-decreasing: each range once, ascending
-        # n_values ** id_range overflows memory long before it compares
-        # small, so bound the exponent first (n_values >= 2: width > 0)
-        if id_range > bounds.max_space.bit_length():
-            raise _too_large(bounds, claim)
-        ranges.append(id_range)
-        space += n_values**id_range
-        if space > bounds.max_space:
-            raise _too_large(bounds, claim)
+    def rows():
+        last = None
+        for claim, id_range in claims:
+            if id_range != last:  # M is non-decreasing: each range once
+                yield claim, id_range, id_range, 1
+            last = id_range
 
-    tried = 0
-    for id_range in ranges:
-        if all(i < id_range for i in vertex_ids):
-            found = _first_accepted(vertex_ids, id_range, n_values, edges, relations)
-            if found is not None:
-                colors = tuple(found[0].get(i, 0) for i in range(id_range))
-                cert = encode_bitmap_certificate(BitmapCertificate(colors), params)
-                return cert, tried + found[1] + 1, None
-        tried += n_values**id_range
-    if not ranges:
-        return None, tried, None
-    first = BitmapCertificate((0,) * ranges[0])
-    return None, tried, encode_bitmap_certificate(first, params)
+    return _scan(params, bounds, rows(), lambda member, width: vertex_ids, make, vertex_ids, edges, relations)
 
 
 _SPACES = {

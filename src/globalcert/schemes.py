@@ -24,6 +24,9 @@ its lookup computes each identifier's color once. A node verifier asks it
 for the lookup, so a network of n nodes decodes once, not n times, while
 each node still decides alone.
 
+The BITMAP prover and encoder share one writer, and its decoder reads
+through the verifier's lookup.
+
 The HASH path is shared with the CSP scheme, which differs only in what an
 entry of L means: `prove_hash_table` is the one prover tail (range check,
 perfect-hash scan, bucket table, encode), `encode_hash_certificate` and
@@ -321,14 +324,27 @@ def decode_idlist_payload(payload: Bits, params: SchemeParams) -> IdListCertific
     return IdListCertificate(tuple(records))
 
 
+def _write_bitmap(colors, id_range: int, width: int) -> Certificate:
+    """The bitmap of `id_range` width-bit entries holding each (identifier,
+    color) pair of `colors`: a zeroed buffer in which only the nonzero
+    colors are written."""
+    total = id_range * width
+    buf = bytearray((total + 7) // 8)
+    for identifier, color in colors:
+        pos = (identifier + 1) * width - 1  # the entry's last bit
+        while color:
+            if color & 1:
+                buf[pos >> 3] |= 0x80 >> (pos & 7)
+            color >>= 1
+            pos -= 1
+    return Certificate(SchemeTag.BITMAP, Bits(bytes(buf), total))
+
+
 def encode_bitmap_certificate(decoded: BitmapCertificate, params: SchemeParams) -> Certificate:
-    width = params.value_width
-    writer = BitWriter()
     for color in decoded.colors:
         if not 0 <= color < params.target.vertex_count:
             raise InvalidParams(f"color {color} outside the target")
-        writer.write(color, width)
-    return Certificate(SchemeTag.BITMAP, writer.getvalue())
+    return _write_bitmap(enumerate(decoded.colors), len(decoded.colors), params.value_width)
 
 
 def _bitmap_content_bits(payload: Bits, params: SchemeParams) -> int:
@@ -354,16 +370,12 @@ def _bitmap_content_bits(payload: Bits, params: SchemeParams) -> int:
 
 
 def decode_bitmap_payload(payload: Bits, params: SchemeParams) -> BitmapCertificate:
-    """Materialize the color of every identifier; desk-scale ranges only."""
+    """Materialize the color of every identifier in the payload's range,
+    read through the verifiers' lookup; desk-scale ranges only."""
+    lookup = _bitmap_colors(payload, params)
     width = params.value_width
-    content = _bitmap_content_bits(payload, params)
-    if width == 0:
-        return BitmapCertificate(())
-    reader = BitReader(payload)
-    colors = tuple(reader.read(width) for _ in range(content // width))
-    if any(color >= params.target.vertex_count for color in colors):
-        raise MalformedCertificate("color outside the target")
-    return BitmapCertificate(colors)
+    id_range = _bitmap_content_bits(payload, params) // width if width else 0
+    return BitmapCertificate(tuple(map(lookup, range(id_range))))
 
 
 # ---------------------------------------------------------------------------
@@ -443,28 +455,12 @@ def prove_bitmap(
     params: SchemeParams,
     stats: ProveStats | None = None,
 ) -> Certificate:
-    """Color of the vertex with identifier i at position i; zero elsewhere.
-
-    The payload is laid out here rather than through
-    encode_bitmap_certificate: only the n assigned entries are written into
-    a zeroed buffer, where the encoder writes all M(n) of them (on a
-    400-cycle with M = n^2, K2, the encoder took 26 ms against 0.3 ms for
-    this whole prover, solve included).
-    """
+    """Color of the vertex with identifier i at position i; zero elsewhere."""
     phi = _homomorphism_or_refuse(graph, params)
     id_range = range_for_proving(ids, graph.vertex_count, params.id_policy)
     if id_range > BITMAP_MAX_RANGE:
         raise BitmapTooLarge(f"M(n) = {id_range} exceeds the 2^26 bitmap cap")
-    width = params.value_width
-    total = id_range * width
-    buf = bytearray((total + 7) // 8)
-    for v in range(graph.vertex_count):
-        pos = ids.id_of(v) * width
-        color = phi[v]
-        for j in range(width):
-            if (color >> (width - 1 - j)) & 1:
-                buf[(pos + j) // 8] |= 1 << (7 - (pos + j) % 8)
-    return Certificate(SchemeTag.BITMAP, Bits(bytes(buf), total))
+    return _write_bitmap(zip(ids.ids, phi), id_range, params.value_width)
 
 
 # ---------------------------------------------------------------------------

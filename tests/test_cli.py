@@ -1,13 +1,28 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import globalcert
 from globalcert.cli import main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_module(*argv):
+    """`python -m globalcert *argv` in a child process that imports the
+    package from where this process did, so a bare `pytest` in a checkout
+    needs no PYTHONPATH."""
+    src = str(Path(globalcert.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "globalcert", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture
@@ -44,17 +59,14 @@ class TestPipelines:
     def test_cross_process_round_trip(self, workspace):
         graph = gen_graph(workspace)
         cert = workspace / "c.bin"
-        prove = subprocess.run(
-            [sys.executable, "-m", "globalcert", "prove", "--scheme", "hash",
-             "--graph", str(graph), "--target", "K2", "--id-range", "poly:2",
-             "--out", str(cert)],
-            capture_output=True, text=True,
+        prove = run_module(
+            "prove", "--scheme", "hash", "--graph", str(graph), "--target", "K2",
+            "--id-range", "poly:2", "--out", str(cert),
         )
         assert prove.returncode == 0, prove.stderr
-        verify = subprocess.run(
-            [sys.executable, "-m", "globalcert", "verify", "--graph", str(graph),
-             "--cert", str(cert), "--target", "K2", "--id-range", "poly:2"],
-            capture_output=True, text=True,
+        verify = run_module(
+            "verify", "--graph", str(graph), "--cert", str(cert), "--target", "K2",
+            "--id-range", "poly:2",
         )
         assert verify.returncode == 0, verify.stderr
         assert verify.stdout.count("accept") == 6
@@ -135,18 +147,12 @@ class TestPipelines:
             IdAssignment(tuple(range(n)), n),
         ))
         cert = workspace / "c.bin"
-        prove = subprocess.run(
-            [sys.executable, "-m", "globalcert", "prove", "--scheme", "idlist",
-             "--graph", str(path), "--target", "K2", "--out", str(cert)],
-            capture_output=True, text=True,
+        prove = run_module(
+            "prove", "--scheme", "idlist", "--graph", str(path), "--target", "K2", "--out", str(cert),
         )
         assert prove.returncode == 0, prove.stderr
         assert prove.stderr == ""
-        verify = subprocess.run(
-            [sys.executable, "-m", "globalcert", "verify", "--graph", str(path),
-             "--cert", str(cert), "--target", "K2"],
-            capture_output=True, text=True,
-        )
+        verify = run_module("verify", "--graph", str(path), "--cert", str(cert), "--target", "K2")
         assert verify.returncode == 0, verify.stderr
         assert verify.stdout.count("accept") == n
 

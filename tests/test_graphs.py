@@ -78,6 +78,7 @@ SINGLE_FAULTS = [
     pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 1 0 2\n0", ParseError, id="csp-rows-missing"),
     pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 1 0 1\n0 1", ParseError, id="csp-row-arity"),
     pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 1 0 1\n0\n1", ParseError, id="csp-extra-row"),
+    pytest.param(parse_csp, "csp 2 2 4\nid 0 0\nid 1 1\nct 2 0 1 -3", ParseError, id="csp-negative-row-count"),
     pytest.param(parse_csp, "csp 0 2 4", InvalidParams, id="csp-no-variable"),
     pytest.param(parse_csp, "csp 1 0 4\nid 0 0", InvalidParams, id="csp-empty-domain"),
     pytest.param(parse_csp, "csp 1 2 4\nid 0 0\nct 0 0", InvalidParams, id="csp-empty-scope"),

@@ -132,6 +132,21 @@ class TestAudit:
         assert rep_map.certificates_tried == 256
         assert not rep_map.certificate_accepted_exists
 
+    def test_bitmap_ranges_share_one_unsolvable_quotient(self, monkeypatch):
+        # K4 -> K3 has no coloring; ranges 4, 5 and 6 each hold every
+        # identifier, and all three read the same identifier quotient
+        import globalcert.oracle as oracle
+
+        solved = []
+        solve = oracle.solve_scopes
+        monkeypatch.setattr(oracle, "solve_scopes", lambda *args: solved.append(args) or solve(*args))
+        params = SchemeParams(K3, IdRangePolicy.poly(1))
+        ids = IdAssignment((0, 1, 2, 3), 4)
+        report = audit_soundness(clique(4), ids, SchemeTag.BITMAP, params, AuditBounds(max_claimed_n=6))
+        assert not report.certificate_accepted_exists
+        assert report.certificates_tried == sum(3**m for m in range(1, 7))
+        assert len(solved) == 1
+
     def test_witness_is_canonically_first(self):
         # an edgeless graph accepts the very first certificate of the space
         g = Graph.of(2)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from globalcert import (
     BitmapCertificate,
@@ -25,6 +26,7 @@ from globalcert import (
     cycle,
     decode_certificate,
     encode_certificate,
+    find_homomorphism,
     graph_to_csp,
     local_view,
     prove_bitmap,
@@ -40,6 +42,7 @@ from globalcert import (
 )
 from globalcert.bits import BitWriter
 from globalcert.schemes import (
+    _bitmap_colors,
     bitmap_payload_bits,
     decode_hash_payload,
     hash_payload_bits,
@@ -321,6 +324,55 @@ class TestBitmapScheme:
         assert not any(run_all_nodes(graph, ids, bad, params).decisions)
         with pytest.raises(MalformedCertificate):
             decode_certificate(bad, params)
+
+
+class TestBitmapCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        target=st.sampled_from([clique(1), K2, clique(3), cycle(5)]),
+        policy=st.sampled_from(["fixed:9", "fixed:16", "poly:1", "poly:2", "poly:3"]),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        padded=st.booleans(),
+        data=st.data(),
+    )
+    def test_one_writer_and_one_reader(self, target, policy, n, seed, padded, data):
+        # the prover and the encoder write the same bytes, the decoder reads
+        # what the verifiers' lookup reads, and both refuse an entry >= n'
+        params = SchemeParams(target, IdRangePolicy.parse(policy))
+        id_range = params.id_policy.evaluate(n)
+        graph = random_h_colorable_graph(n, target, 0.6 if target.edges else 0, seed)
+        ids = random_id_assignment(n, id_range, seed)
+        by_id = dict(zip(ids.ids, find_homomorphism(graph, target)))
+        full = BitmapCertificate(tuple(by_id.get(i, 0) for i in range(id_range)))
+        cert = prove_bitmap(graph, ids, params)
+        assert cert == encode_certificate(full, params)
+
+        def load(bits):
+            honest = Certificate(SchemeTag.BITMAP, Bits.from01(bits))
+            return Certificate.from_bytes(honest.to_bytes()) if padded else honest
+
+        width = params.value_width
+        loaded = load(cert.payload.to01())
+        colors = decode_certificate(loaded, params).colors
+        lookup = _bitmap_colors(loaded.payload, params)
+        # byte padding may lengthen the range read from a payload, with zeros
+        expected = full.colors if width else ()
+        assert colors[: len(expected)] == expected and not any(colors[len(expected) :])
+        assert padded or len(colors) == len(expected)
+        reads = [lookup(i) for i in range(max(len(colors), id_range) + 1)]
+        assert reads == ([*colors, None] if width else [0] * (id_range + 1))
+
+        slack = range(target.vertex_count, 1 << width)
+        if slack:
+            i = data.draw(st.integers(0, id_range - 1))
+            bits = cert.payload.to01()
+            entry = format(data.draw(st.sampled_from(slack)), f"0{width}b")
+            bad = load(bits[: i * width] + entry + bits[(i + 1) * width :])
+            with pytest.raises(MalformedCertificate):
+                decode_certificate(bad, params)
+            with pytest.raises(MalformedCertificate):
+                _bitmap_colors(bad.payload, params)
 
 
 class TestIdListScheme:
