@@ -20,6 +20,8 @@ class Bits:
     length: int
 
     def __post_init__(self):
+        # bytes, not a mutable buffer: a Bits is hashed, as a cache key
+        object.__setattr__(self, "data", bytes(self.data))
         if self.length < 0 or len(self.data) != (self.length + 7) // 8:
             raise InvalidParams("bit length inconsistent with backing bytes")
         if self.length % 8:

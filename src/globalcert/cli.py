@@ -51,6 +51,18 @@ def _policy(args, default: IdRangePolicy) -> IdRangePolicy:
     return default if args.id_range is None else IdRangePolicy.parse(args.id_range)
 
 
+def _graph_input(args, multiplier: str = "1"):
+    """The graph file `--graph`, its identifiers, and the SchemeParams of
+    `--target`, `--id-range` (by default the file's range) and `multiplier`."""
+    graph, ids = _load_graph(args.graph)
+    params = SchemeParams(
+        target=_load_target(args.target),
+        id_policy=_policy(args, IdRangePolicy.fixed(ids.id_range)),
+        range_multiplier=Fraction(multiplier),
+    )
+    return graph, ids, params
+
+
 def _cmd_gen(args) -> int:
     target = _load_target(args.target)
     policy = _policy(args, IdRangePolicy.poly(2))
@@ -102,12 +114,7 @@ def _instance(args):
                 for v in range(instance.variable_count)
             ]
     else:
-        graph, ids = _load_graph(args.graph)
-        params = SchemeParams(
-            target=_load_target(args.target),
-            id_policy=_policy(args, IdRangePolicy.fixed(ids.id_range)),
-            range_multiplier=Fraction(args.multiplier),
-        )
+        graph, ids, params = _graph_input(args, args.multiplier)
 
         def prove(scheme, stats):
             return prove_certificate(graph, ids, scheme, params, stats)
@@ -147,11 +154,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    graph, ids = _load_graph(args.graph)
-    params = SchemeParams(
-        target=_load_target(args.target),
-        id_policy=_policy(args, IdRangePolicy.fixed(ids.id_range)),
-    )
+    graph, ids, params = _graph_input(args)
     report = audit_soundness(
         graph,
         ids,
@@ -198,22 +201,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a target-colorable graph or CSP file")
+    # the framework options of `gen`, `prove`, `verify` and `audit`
+    framework = argparse.ArgumentParser(add_help=False)
+    framework.add_argument("--target", default="K2", help="K2|K3|C5 or a graph file")
+    framework.add_argument("--id-range", dest="id_range", default=None)
+
+    gen = sub.add_parser("gen", parents=[framework], help="generate a target-colorable graph or CSP file")
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--target", default="K2", help="K2|K3|C5 or a graph file")
     gen.add_argument("--density", type=float, default=0.6)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--id-range", dest="id_range", default=None)
     gen.add_argument("--csp", action="store_true", help="emit the CSP translation")
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=_cmd_gen)
 
     # the input options `prove` and `verify` share
-    inputs = argparse.ArgumentParser(add_help=False)
+    inputs = argparse.ArgumentParser(add_help=False, parents=[framework])
     inputs.add_argument("--graph")
     inputs.add_argument("--csp")
-    inputs.add_argument("--target", default="K2")
-    inputs.add_argument("--id-range", dest="id_range", default=None)
     inputs.add_argument("--lambda", dest="multiplier", default="1")
 
     prove = sub.add_parser("prove", parents=[inputs], help="write a certificate file")
@@ -225,11 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--cert", required=True)
     verify.set_defaults(func=_cmd_verify)
 
-    audit = sub.add_parser("audit", help="exhaustive certificate-space audit")
+    audit = sub.add_parser("audit", parents=[framework], help="exhaustive certificate-space audit")
     audit.add_argument("--graph", required=True)
-    audit.add_argument("--target", default="K2")
     audit.add_argument("--scheme", choices=["hash", "idlist", "bitmap"], default="hash")
-    audit.add_argument("--id-range", dest="id_range", default=None)
     audit.add_argument("--max-n", dest="max_n", type=int, default=4)
     audit.add_argument("--max-space", dest="max_space", type=int, default=10**7)
     audit.set_defaults(func=_cmd_audit)

@@ -11,7 +11,6 @@ values through the same hash path as the graph scheme in `schemes`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ from .bits import Bits
 from .errors import InvalidParams, NotSatisfiable, ParseError, TooLarge
 from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph, _integers, read_instance
 from .hashing import perfect_hash_search  # noqa: F401  kept: perfbench/tracing.py patches it here
-from .schemes import Certificate, ProveStats, hash_colors, prove_hash_table, shared_lookup
+from .schemes import Certificate, HashFramework, ProveStats, hash_colors, prove_hash_table, shared_lookup
 from .schemes import decode_assignment_fields, encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
 
 
@@ -86,7 +85,7 @@ class CspInstance:
 
 
 @dataclass(frozen=True)
-class CspParams:
+class CspParams(HashFramework):
     """Framework fixed between prover and verifiers for the CSP scheme."""
 
     domain_size: int
@@ -94,14 +93,9 @@ class CspParams:
     range_multiplier: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "range_multiplier", Fraction(self.range_multiplier))
         if self.domain_size < 1:
             raise InvalidParams("domain must be non-empty")
-        if self.range_multiplier < 1:
-            raise InvalidParams("range multiplier must be >= 1")
-
-    def bucket_count(self, n: int) -> int:
-        return math.ceil(self.range_multiplier * n)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

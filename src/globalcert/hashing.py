@@ -130,13 +130,11 @@ def eval_hash(index: int, x: int, k: int) -> int:
 def is_perfect(index: int, keys: Iterable[int], k: int) -> bool:
     """True iff member `index` is injective on `keys`."""
     seen = 0
-    count = 0
     for x in keys:
         bucket = 1 << eval_hash(index, x, k)
         if seen & bucket:
             return False
         seen |= bucket
-        count += 1
     return True
 
 

@@ -15,7 +15,8 @@ from .csp import CspInstance, CspParams, backtrack, edge_relation, solve_csp, so
 from .errors import InvalidParams, TooLarge
 from .graphs import Graph, IdAssignment, TargetGraph, local_view
 from .hashing import _fin, _mix_input, family_size
-from .schemes import Certificate, HashCertificate, SchemeParams, SchemeTag, encode_hash_certificate, verify_certificate
+from .schemes import Certificate, HashCertificate, HashFramework, SchemeParams, SchemeTag
+from .schemes import encode_hash_certificate, verify_certificate
 from .schemes import encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
 
 
@@ -190,11 +191,10 @@ def _scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
     return None, tried, make(plan[0][0], 0, (0,) * plan[0][2])
 
 
-def _hash_space(params, bounds, variable_ids, scopes, relations):
+def _hash_space(params: HashFramework, bounds, variable_ids, scopes, relations):
     """First accepted hash certificate (claim, index, entries): one block
     per claim whose buckets fit below M(claim), holding every family member,
-    in which variable v reads the bucket its identifier hashes to. `params`
-    is SchemeParams or CspParams."""
+    in which variable v reads the bucket its identifier hashes to."""
     mixed = [_mix_input(i) for i in variable_ids]
 
     def read(index, buckets):

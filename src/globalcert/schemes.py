@@ -31,7 +31,8 @@ The HASH path is shared with the CSP scheme, which differs only in what an
 entry of L means: `prove_hash_table` is the one prover tail (range check,
 perfect-hash scan, bucket table, encode), `encode_hash_certificate` and
 `decode_hash_payload` the one codec, and `hash_colors` the one lookup. Each
-takes either SchemeParams or CspParams, read through `domain_size`.
+takes a HashFramework, the base of SchemeParams and CspParams, which gives
+the value domain and the hash family of a claim.
 
 The HASH verifier trusts the certificate's n only to derive M(n) and the
 family; it never checks that the member is injective, because unanimous
@@ -110,15 +111,11 @@ def certificate_size_bits(cert: Certificate) -> int:
     return cert.payload.length
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Fixed framework shared by prover and verifier: the target graph, the
-    identifier-range policy, and the optional bucket multiplier (>= 1,
-    default 1; larger values speed up proving at the cost of a longer L)."""
-
-    target: TargetGraph
-    id_policy: IdRangePolicy
-    range_multiplier: Fraction = Fraction(1)
+class HashFramework:
+    """What the hash path needs of a framework, shared by SchemeParams and
+    CspParams: an identifier-range policy `id_policy`, a bucket multiplier
+    `range_multiplier` (>= 1; larger values speed up proving at the cost of
+    a longer L) and a value domain `domain_size`."""
 
     def __post_init__(self):
         object.__setattr__(self, "range_multiplier", Fraction(self.range_multiplier))
@@ -126,20 +123,34 @@ class SchemeParams:
             raise InvalidParams("range multiplier must be >= 1")
 
     @property
-    def domain_size(self) -> int:
-        """The values an entry of L can take: the target's vertex count."""
-        return self.target.vertex_count
-
-    @property
     def value_width(self) -> int:
-        """Bits per color entry, ceil(log2 n'); zero for a 1-vertex target."""
+        """Bits per entry of L, ceil(log2 domain_size); zero for one value."""
         return (self.domain_size - 1).bit_length()
 
     def bucket_count(self, n: int) -> int:
         return math.ceil(self.range_multiplier * n)
 
-    def pair_allowed(self, a: int, b: int) -> bool:
-        return self.target.has_edge(a, b)
+    def family(self, n: int) -> HashFamilySpec:
+        """The family of a claim of n: ceil(lambda n) buckets over M(n)
+        identifiers. Raises InvalidParams where M(n) is undefined or there
+        are more buckets than identifiers."""
+        id_range = self.id_policy.evaluate(n)
+        return HashFamilySpec.for_params(self.bucket_count(n), id_range)
+
+
+@dataclass(frozen=True)
+class SchemeParams(HashFramework):
+    """Fixed framework shared by prover and verifier: the target graph, the
+    identifier-range policy, and the optional bucket multiplier (default 1)."""
+
+    target: TargetGraph
+    id_policy: IdRangePolicy
+    range_multiplier: Fraction = Fraction(1)
+
+    @property
+    def domain_size(self) -> int:
+        """The values an entry of L can take: the target's vertex count."""
+        return self.target.vertex_count
 
 
 @dataclass
@@ -156,47 +167,31 @@ class ProveStats:
 
 
 def encode_assignment_fields(
-    claimed_n: int,
-    hash_index: int,
-    values: tuple[int, ...],
-    policy: IdRangePolicy,
-    multiplier: Fraction,
-    value_count: int,
+    claimed_n: int, hash_index: int, values: tuple[int, ...], params: HashFramework
 ) -> Bits:
-    if claimed_n < 1:
-        raise InvalidParams("claimed n must be positive")
-    id_range = policy.evaluate(claimed_n)
-    buckets = math.ceil(multiplier * claimed_n)
-    if buckets > id_range:
-        raise InvalidParams("more buckets than the identifier range")
-    spec = HashFamilySpec.for_params(buckets, id_range)
+    spec = params.family(claimed_n)
     if not 0 <= hash_index < spec.size:
         raise InvalidParams(f"hash index {hash_index} outside family of size {spec.size}")
-    if len(values) != buckets:
-        raise InvalidParams(f"expected {buckets} entries, got {len(values)}")
-    width = (value_count - 1).bit_length()
+    if len(values) != spec.k:
+        raise InvalidParams(f"expected {spec.k} entries, got {len(values)}")
+    domain, width = params.domain_size, params.value_width
     writer = BitWriter()
     writer.write_gamma(claimed_n)
     writer.write(hash_index, spec.index_width)
     for v in values:
-        if not 0 <= v < value_count:
-            raise InvalidParams(f"entry {v} outside [0, {value_count})")
+        if not 0 <= v < domain:
+            raise InvalidParams(f"entry {v} outside [0, {domain})")
         writer.write(v, width)
     return writer.getvalue()
 
 
-def decode_assignment_fields(
-    payload: Bits,
-    policy: IdRangePolicy,
-    multiplier: Fraction,
-    value_count: int,
-) -> tuple[int, int, tuple[int, ...]]:
+def decode_assignment_fields(payload: Bits, params: HashFramework) -> tuple[int, int, tuple[int, ...]]:
     """Inverse of encode_assignment_fields; raises MalformedCertificate on
     any syntactic violation, including out-of-range index or entries."""
     reader = BitReader(payload)
     claimed_n = reader.read_gamma()
-    buckets = math.ceil(multiplier * claimed_n)
-    width = (value_count - 1).bit_length()
+    buckets = params.bucket_count(claimed_n)
+    domain, width = params.domain_size, params.value_width
     # a claim n >= 2 needs M >= 2, so its family for k buckets has at least
     # e^k members: the index takes over 1.4426 k bits and the entries k *
     # width more. This refuses a claim the payload cannot hold before
@@ -205,10 +200,7 @@ def decode_assignment_fields(
     if claimed_n > 1 and buckets * (14426 + 10000 * width) > 10000 * reader.bits_left():
         raise MalformedCertificate("claimed n larger than the payload allows")
     try:
-        id_range = policy.evaluate(claimed_n)
-        if buckets > id_range:
-            raise MalformedCertificate("more buckets than the identifier range")
-        spec = HashFamilySpec.for_params(buckets, id_range)
+        spec = params.family(claimed_n)
     except InvalidParams as exc:
         raise MalformedCertificate(str(exc)) from None
     hash_index = reader.read(spec.index_width)
@@ -217,7 +209,7 @@ def decode_assignment_fields(
     values = []
     for _ in range(buckets):
         v = reader.read(width)
-        if v >= value_count:
+        if v >= domain:
             raise MalformedCertificate("entry outside the value domain")
         values.append(v)
     reader.expect_zero_padding()
@@ -259,24 +251,13 @@ class BitmapCertificate:
     colors: tuple[int, ...]
 
 
-def encode_hash_certificate(decoded: HashCertificate, params) -> Certificate:
-    """`params` is SchemeParams or CspParams."""
-    payload = encode_assignment_fields(
-        decoded.claimed_n,
-        decoded.hash_index,
-        decoded.colors,
-        params.id_policy,
-        params.range_multiplier,
-        params.domain_size,
-    )
+def encode_hash_certificate(decoded: HashCertificate, params: HashFramework) -> Certificate:
+    payload = encode_assignment_fields(decoded.claimed_n, decoded.hash_index, decoded.colors, params)
     return Certificate(SchemeTag.HASH, payload)
 
 
-def decode_hash_payload(payload: Bits, params) -> HashCertificate:
-    """`params` is SchemeParams or CspParams."""
-    return HashCertificate(*decode_assignment_fields(
-        payload, params.id_policy, params.range_multiplier, params.domain_size
-    ))
+def decode_hash_payload(payload: Bits, params: HashFramework) -> HashCertificate:
+    return HashCertificate(*decode_assignment_fields(payload, params))
 
 
 def encode_idlist_certificate(decoded: IdListCertificate, params: SchemeParams) -> Certificate:
@@ -406,13 +387,13 @@ def range_for_proving(ids: IdAssignment, count: int, policy: IdRangePolicy) -> i
 def prove_hash_table(
     solution: tuple[int, ...],
     ids: IdAssignment,
-    params,
+    params: HashFramework,
     stats: ProveStats | None = None,
 ) -> Certificate:
     """Certificate (n, h, L) for a solution of n variables or vertices:
     h is the smallest family member injective on the identifier set, and L
     holds each solution value at the bucket its identifier hashes to, zero
-    at unused buckets. `params` is SchemeParams or CspParams."""
+    at unused buckets."""
     n = len(solution)
     id_range = range_for_proving(ids, n, params.id_policy)
     buckets = params.bucket_count(n)
@@ -470,10 +451,9 @@ def prove_bitmap(
 ColorLookup = Callable[[int], "int | None"]
 
 
-def hash_colors(payload: Bits, params) -> ColorLookup:
+def hash_colors(payload: Bits, params: HashFramework) -> ColorLookup:
     """Identifier -> L[h(identifier)] through the claimed family member, or
-    None at or above M(claimed n). `params` is SchemeParams or CspParams:
-    the graph and the CSP verifiers share it."""
+    None at or above M(claimed n); the graph and the CSP verifiers share it."""
     decoded = decode_hash_payload(payload, params)
     id_range = params.id_policy.evaluate(decoded.claimed_n)
     index, colors, buckets = decoded.hash_index, decoded.colors, len(decoded.colors)
@@ -530,13 +510,12 @@ def _bitmap_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
 
 
 @functools.lru_cache(maxsize=1)
-def shared_lookup(colors_of, payload: Bits, params) -> ColorLookup | None:
+def shared_lookup(colors_of, payload: Bits, params: HashFramework) -> ColorLookup | None:
     """`colors_of(payload, params)` with each identifier's color memoised,
     or None for a MalformedCertificate, which every node rejects.
 
     One entry, keyed by value: the nodes of one network share it, and the
-    next certificate or params replace it. `params` is SchemeParams or
-    CspParams."""
+    next certificate or params replace it."""
     try:
         return functools.cache(colors_of(payload, params))
     except MalformedCertificate:
@@ -549,9 +528,10 @@ def check(lookup: ColorLookup, view: LocalView, params: SchemeParams) -> bool:
     own_color = lookup(view.own_id)
     if own_color is None:
         return False
+    has_edge = params.target.has_edge
     for neighbor in view.neighbor_ids:
         other = lookup(neighbor)
-        if other is None or not params.pair_allowed(own_color, other):
+        if other is None or not has_edge(own_color, other):
             return False
     return True
 
@@ -638,10 +618,9 @@ def prove_certificate(
 # layout size formulas, used by benchmarking and by tests
 
 
-def hash_payload_bits(n: int, params: SchemeParams) -> int:
-    buckets = params.bucket_count(n)
-    spec = HashFamilySpec.for_params(buckets, params.id_policy.evaluate(n))
-    return gamma_len(n) + spec.index_width + buckets * params.value_width
+def hash_payload_bits(n: int, params: HashFramework) -> int:
+    spec = params.family(n)
+    return gamma_len(n) + spec.index_width + spec.k * params.value_width
 
 
 def idlist_payload_bits(n: int, params: SchemeParams) -> int:

@@ -293,8 +293,8 @@ def test_criterion_7_csp_scheme_exhaustive():
     )
     from globalcert.schemes import decode_assignment_fields, encode_assignment_fields
 
-    claim, index, _ = decode_assignment_fields(honest.payload, policy, cparams.range_multiplier, 2)
-    zeros = encode_assignment_fields(claim, index, (0,) * claim, policy, cparams.range_multiplier, 2)
+    claim, index, _ = decode_assignment_fields(honest.payload, cparams)
+    zeros = encode_assignment_fields(claim, index, (0,) * claim, cparams)
     assert all(
         not verify_csp_variable(csp_view(parity, v, zeros), cparams) for v in range(3)
     )

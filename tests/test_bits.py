@@ -115,6 +115,14 @@ def test_bits_value_semantics():
         Bits(b"\x01", 4)  # nonzero padding in the backing byte
 
 
+def test_bits_from_a_mutable_buffer_hold_bytes():
+    buffer = bytearray(b"\x80")
+    bits = Bits(buffer, 1)
+    buffer[0] = 0
+    assert bits == Bits(b"\x80", 1) and type(bits.data) is bytes
+    assert hash(bits) == hash(Bits(b"\x80", 1))
+
+
 def test_random_bit_strings_round_trip_through_bytes():
     rng = random.Random(7)
     for _ in range(50):

@@ -234,10 +234,7 @@ class TestCertification:
             for index in range(family_size(claimed, 1)):
                 from globalcert.schemes import encode_assignment_fields
 
-                payload = encode_assignment_fields(
-                    claimed, index, (0,) * claimed, params.id_policy,
-                    params.range_multiplier, 1,
-                )
+                payload = encode_assignment_fields(claimed, index, (0,) * claimed, params)
                 assert not verify_csp_variable(csp_view(inst, 0, payload), params)
 
     def test_ternary_parity(self):
@@ -255,12 +252,8 @@ class TestCertification:
         )
         from globalcert.schemes import decode_assignment_fields, encode_assignment_fields
 
-        claimed, index, _ = decode_assignment_fields(
-            honest.payload, params.id_policy, params.range_multiplier, 2
-        )
-        zeros = encode_assignment_fields(
-            claimed, index, (0,) * claimed, params.id_policy, params.range_multiplier, 2
-        )
+        claimed, index, _ = decode_assignment_fields(honest.payload, params)
+        zeros = encode_assignment_fields(claimed, index, (0,) * claimed, params)
         assert all(
             not verify_csp_variable(csp_view(inst, v, zeros), params)
             for v in range(3)

@@ -362,6 +362,22 @@ class TestSharedLookup:
             assert runs == [fresh_decisions(graph, ids, cert, params) for params in (k4, k3, k4)]
             assert all(runs[0]) and not all(runs[1])
 
+    def test_a_certificate_read_from_a_bytearray_decides_as_from_bytes(self):
+        rng = random.Random(10)
+        for scheme in SchemeTag:
+            graph, ids, honest, params = planted(scheme, clique(3), 20, rng)
+            for cert in (honest, partly_rejected(graph, ids, honest, params)):
+                shared_lookup.cache_clear()
+                blob = cert.to_bytes()
+                from_buffer = run_all_nodes(graph, ids, Certificate.from_bytes(bytearray(blob)), params)
+                assert from_buffer.decisions == run_all_nodes(graph, ids, Certificate.from_bytes(blob), params).decisions
+        instance, honest, params = planted_csp(12, 3, Fraction(1), rng)
+        for cert in (honest, mutated(honest, [("flip", honest.payload.length - 1)])):
+            shared_lookup.cache_clear()
+            blob = cert.to_bytes()
+            from_buffer = csp_decisions(instance, Certificate.from_bytes(bytearray(blob)), params)
+            assert from_buffer == csp_decisions(instance, Certificate.from_bytes(blob), params)
+
 
 class TestProbeStatistics:
     def test_probes_follow_the_expected_search_cost(self):

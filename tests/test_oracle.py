@@ -397,7 +397,7 @@ class TestCspAudit:
             for claim in range(1, 4):
                 for index in range(family_size(claim, 8)):
                     for values in itertools.product(range(2), repeat=claim):
-                        yield encode_assignment_fields(claim, index, values, policy, 1, 2)
+                        yield encode_assignment_fields(claim, index, values, params)
 
         tried = 0
         for payload in canonical_space():

@@ -41,10 +41,12 @@ from globalcert import (
     verify_idlist,
 )
 from globalcert.bits import BitWriter
+from globalcert.hashing import HashFamilySpec
 from globalcert.schemes import (
     _bitmap_colors,
     bitmap_payload_bits,
     decode_hash_payload,
+    encode_hash_certificate,
     hash_payload_bits,
     idlist_payload_bits,
 )
@@ -234,6 +236,66 @@ class TestHashScheme:
         decoded = decode_certificate(cert, params)
         assert len(decoded.colors) == 3  # ceil(1.5 * 2)
         assert run_all_nodes(graph, ids, cert, params).all_accept
+
+
+class TestHashFramework:
+    """SchemeParams and CspParams share one multiplier check and one hash
+    family per claim."""
+
+    @pytest.mark.parametrize("multiplier", [Fraction(1, 2), "0.99", 0, -1])
+    def test_multiplier_below_one_refused(self, multiplier):
+        with pytest.raises(InvalidParams):
+            SchemeParams(K2, IdRangePolicy.fixed(8), multiplier)
+        with pytest.raises(InvalidParams):
+            CspParams(2, IdRangePolicy.fixed(8), multiplier)
+
+    def test_multiplier_spellings_give_equal_params(self):
+        policy = IdRangePolicy.poly(2)
+        for make in (lambda lam: SchemeParams(K2, policy, lam), lambda lam: CspParams(2, policy, lam)):
+            spellings = [make(lam) for lam in ("3/2", 1.5, Fraction(3, 2))]
+            assert spellings[0] == spellings[1] == spellings[2]
+            assert len({hash(p) for p in spellings}) == 1
+            assert spellings[0].range_multiplier == Fraction(3, 2)
+
+    @pytest.mark.parametrize("policy", [IdRangePolicy.fixed(64), IdRangePolicy.poly(2), IdRangePolicy.doubly_exponential()])
+    @pytest.mark.parametrize("multiplier", [Fraction(1), Fraction(3, 2), Fraction(2)])
+    def test_graph_and_csp_share_the_family(self, policy, multiplier):
+        graph_params = SchemeParams(clique(3), policy, multiplier)
+        csp_params = CspParams(3, policy, multiplier)
+        assert graph_params.value_width == csp_params.value_width == 2
+        for n in range(1, 6):
+            buckets = -(-multiplier.numerator * n // multiplier.denominator)
+            assert graph_params.bucket_count(n) == csp_params.bucket_count(n) == buckets
+            if buckets > policy.evaluate(n):  # poly:2 at n = 1 has one identifier
+                for p in (graph_params, csp_params):
+                    with pytest.raises(InvalidParams):
+                        p.family(n)
+                continue
+            expected = HashFamilySpec.for_params(buckets, policy.evaluate(n))
+            assert graph_params.family(n) == csp_params.family(n) == expected
+
+    def test_more_buckets_than_identifiers_refused_everywhere(self):
+        # lambda = 2 under fixed:3: a claim of 2 has 4 buckets over 3 ids
+        policy = IdRangePolicy.fixed(3)
+        params, csp_params = SchemeParams(K2, policy, 2), CspParams(2, policy, 2)
+        for p in (params, csp_params):
+            with pytest.raises(InvalidParams):
+                p.family(2)
+            with pytest.raises(InvalidParams):
+                encode_hash_certificate(HashCertificate(2, 0, (0, 1, 0, 1)), p)
+            with pytest.raises(InvalidParams):
+                hash_payload_bits(2, p)
+        # gamma(2) then room enough for four entries and an index
+        writer = BitWriter()
+        writer.write_gamma(2)
+        writer.write(0b1010_1010_1010_1010, 16)
+        cert = Certificate(SchemeTag.HASH, writer.getvalue())
+        with pytest.raises(MalformedCertificate):
+            decode_certificate(cert, params)
+        graph, ids = single_edge(ids=(0, 2), m=3)
+        assert run_all_nodes(graph, ids, cert, params).decisions == (False, False)
+        instance = graph_to_csp(graph, ids, K2)
+        assert not any(verify_csp_variable(csp_view(instance, v, cert.payload), csp_params) for v in range(2))
 
 
 class TestBitmapScheme:
