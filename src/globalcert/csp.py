@@ -75,14 +75,6 @@ class CspInstance:
             object.__setattr__(self, "_inc", inc)
         return inc[var] if 0 <= var < self.variable_count else ()
 
-    def neighborhood(self, var: int) -> frozenset[int]:
-        """Variables sharing a constraint with `var`, excluding `var`."""
-        out: set[int] = set()
-        for ct in self.incident(var):
-            out.update(ct.scope)
-        out.discard(var)
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class CspParams(HashFramework):

@@ -138,6 +138,11 @@ class IdRangePolicy:
       fixed    -- M(n) = param for every n
       poly     -- M(n) = n ** param (integer exponent >= 1)
       doubexp  -- M(n) = min(2 ** 2 ** n, 2 ** 128)
+
+    `evaluate` is the one definition of M, and every kind gives it three
+    properties that the bitmap decoder and the audits rely on: M is
+    non-decreasing, M(n) >= n, and a policy that refuses n (M(n) past
+    2^128 or below n) refuses every larger n.
     """
 
     kind: str
@@ -174,20 +179,6 @@ class IdRangePolicy:
             raise InvalidParams(f"policy yields M = {m} < n = {n}")
         return m
 
-    def is_range_value(self, m: int) -> bool:
-        """True iff m = M(n) for some n >= 1: `evaluate` at the one n that
-        could give m (M is non-decreasing, and strictly increasing where it
-        is not constant)."""
-        if not 1 <= m <= MAX_ID_RANGE:
-            return False
-        if self.kind == "fixed":
-            n = 1
-        elif self.kind == "poly":
-            n = _integer_root(m, self.param)
-        else:
-            n = max(1, (m.bit_length() - 1).bit_length() - 1)
-        return self.evaluate(n) == m
-
     def describe(self) -> str:
         if self.kind == "fixed":
             return f"fixed:{self.param}"
@@ -218,16 +209,6 @@ class IdRangePolicy:
     @classmethod
     def doubly_exponential(cls) -> "IdRangePolicy":
         return cls("doubexp")
-
-
-def _integer_root(m: int, c: int) -> int:
-    """Floor of the c-th root of m >= 1, exact for arbitrary precision."""
-    x = 1 << -(-m.bit_length() // c)
-    while True:
-        y = ((c - 1) * x + m // x ** (c - 1)) // c
-        if y >= x:
-            return x
-        x = y
 
 
 def _records(text: str):

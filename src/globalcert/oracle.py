@@ -122,13 +122,12 @@ def _too_large(bounds: AuditBounds, claim: int) -> TooLarge:
     return TooLarge(f"certificate space exceeds {bounds.max_space} by claim {claim}")
 
 
-def _first_accepted(positions, width, n_values, scopes, relations):
-    """({position: entry} for the positions in use, rank) of the first
-    vector in itertools.product(range(n_values), repeat=width) that puts
-    every scope's entries in its relation, variable v reading positions[v];
-    None if there is none. The positions in use are solved in ascending
-    order (a scope may name one twice); the others hold 0, so the rank is
-    sum(entry * n_values**(width-1-position))."""
+def _first_accepted(positions, n_values, scopes, relations):
+    """{position: entry} for the positions in use of the first entry vector,
+    in itertools.product order, that puts every scope's entries in its
+    relation, variable v reading positions[v]; None if there is none. The
+    positions in use are solved in ascending order (a scope may name one
+    twice); the others hold 0."""
     used = sorted(set(positions))
     slot = {p: i for i, p in enumerate(used)}
     quotient = [tuple(slot[positions[v]] for v in scope) for scope in scopes]
@@ -136,10 +135,7 @@ def _first_accepted(positions, width, n_values, scopes, relations):
     # the certificate-space checks against max_space
     budget = 2 * n_values ** len(used) + len(used)
     solution = solve_scopes(len(used), n_values, quotient, relations, budget)
-    if solution is None:
-        return None
-    entries = dict(zip(used, solution))
-    return entries, sum(v * n_values ** (width - 1 - p) for p, v in entries.items())
+    return None if solution is None else dict(zip(used, solution))
 
 
 def _scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
@@ -179,9 +175,10 @@ def _scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
             positions = read(member, width)
             pattern = tuple(map(positions.index, positions))
             if pattern not in unsolvable:
-                found = _first_accepted(positions, width, n_values, scopes, relations)
-                if found is not None:
-                    entries, rank = found
+                entries = _first_accepted(positions, n_values, scopes, relations)
+                if entries is not None:
+                    # the vector's rank in itertools.product order
+                    rank = sum(v * n_values ** (width - 1 - p) for p, v in entries.items())
                     colors = tuple(entries.get(p, 0) for p in range(width))
                     return make(claim, member, colors), tried + rank + 1, None
                 unsolvable.add(pattern)
@@ -265,12 +262,10 @@ def _idlist_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
     tried = 0
     for claim, id_range in plan:
         if len(vertex_ids) <= claim <= id_range and all(i < id_range for i in vertex_ids):
-            # only the coloring is used: the narrowest width keeps the
-            # unused rank small where M(claim) is large
-            found = _first_accepted(vertex_ids, max(vertex_ids) + 1, n_values, edges, relations)
+            found = _first_accepted(vertex_ids, n_values, edges, relations)
             if found is not None:
-                others = [i for i in range(claim) if i not in found[0]][: claim - len(vertex_ids)]
-                records = sorted([*found[0].items(), *((i, 0) for i in others)])
+                others = [i for i in range(claim) if i not in found][: claim - len(vertex_ids)]
+                records = sorted([*found.items(), *((i, 0) for i in others)])
                 rank = 0
                 for identifier, color in records:
                     rank = rank * id_range * n_values + identifier * n_values + color

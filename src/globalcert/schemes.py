@@ -8,7 +8,10 @@ from its LocalView alone. Payload layouts (all MSB-first):
   IDLIST  gamma(n) | n records of (ceil(log2 M(n)) id bits + color bits),
                    expected in strictly ascending id order
   BITMAP  M(n) * ceil(log2 n') bits; the color of the vertex with
-          identifier i sits at position i * width; unassigned ids are zero
+          identifier i sits at position i * width; unassigned ids are zero.
+          A payload is read as the largest M(n) * width that fits it and is
+          valid iff that is all of it, or, for a whole number of bytes,
+          all but at most 7 zero bits of padding
 
 Each verifier turns the payload into a color lookup (identifier -> color,
 or None when the certificate gives it no valid color): L[h(id)] below
@@ -41,6 +44,7 @@ acceptance already forces u -> L[h(Id(u))] to be a homomorphism.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections.abc import Callable
@@ -329,23 +333,29 @@ def encode_bitmap_certificate(decoded: BitmapCertificate, params: SchemeParams) 
 
 
 def _bitmap_content_bits(payload: Bits, params: SchemeParams) -> int:
-    """Exact content length of a bitmap payload: the largest M(n)*width that
-    fills the payload exactly, or exactly up to its byte padding."""
+    """Exact content length of a bitmap payload, by the BITMAP length rule
+    of the module docstring: a smaller content leaves more bits over, so
+    only the largest can pass."""
     width = params.value_width
+    length = payload.length
     if width == 0:
-        if payload.length >= 8 or any(payload.bit(i) for i in range(payload.length)):
+        if length >= 8 or any(payload.bit(i) for i in range(length)):
             raise MalformedCertificate("nonempty payload for a 1-vertex target")
         return 0
-    if payload.length % 8:
-        candidates = [payload.length]
-    else:
-        candidates = range(payload.length, max(payload.length - 8, -1), -1)
-    for content in candidates:
-        if content % width:
-            continue
-        if not params.id_policy.is_range_value(content // width):
-            continue
-        if all(payload.bit(i) == 0 for i in range(content, payload.length)):
+
+    def bits(n: int) -> int:
+        try:
+            return params.id_policy.evaluate(n) * width
+        except InvalidParams:
+            return length + 1
+
+    # non-decreasing by the properties IdRangePolicy states; M(n) >= n
+    # bounds the n that fit
+    n = bisect.bisect_right(range(1, length // width + 1), length, key=bits)
+    if n:
+        content = bits(n)
+        tail = length - content
+        if tail == 0 or (length % 8 == 0 and tail < 8 and not any(map(payload.bit, range(content, length)))):
             return content
     raise MalformedCertificate("payload length matches no identifier range")
 

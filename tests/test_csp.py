@@ -67,10 +67,6 @@ class TestTranslation:
         assert inst.constraints == ()
         assert solve_csp(inst) == (0, 0, 0)
 
-    def test_neighborhood(self):
-        inst = graph_to_csp(cycle(4), ids8(4), K2)
-        assert inst.neighborhood(0) == frozenset({1, 3})
-
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_incident_equals_a_scan_of_the_constraints(self, data):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from globalcert import (
     Bits,
+    Certificate,
     CertificationError,
     CspConstraint,
     CspInstance,
@@ -15,8 +16,13 @@ from globalcert import (
     InvalidEdge,
     InvalidId,
     InvalidParams,
+    MalformedCertificate,
     ParseError,
+    SchemeParams,
+    SchemeTag,
     clique,
+    cycle,
+    decode_certificate,
     exists_homomorphism,
     local_view,
     parse_csp,
@@ -323,34 +329,78 @@ POLICIES = [
 ]
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
-def test_is_range_value_matches_the_set_of_evaluated_values(policy):
-    def values(ns):
-        out = set()
-        for n in ns:
-            try:
-                out.add(policy.evaluate(n))
-            except InvalidParams:
-                pass
-        return out
-
-    # M(n) >= n, so below this bound every value comes from some n <= bound
-    bound = 3000
-    small = values(range(1, bound + 1))
-    for m in range(-1, bound + 1):
-        assert policy.is_range_value(m) == (m in small), m
-    # M is non-decreasing, so M(n) +- 1 is a value only if it is M(n +- 1)
+def _cap_window(policy):
+    """The n around the last n the policy defines below the 2^128 cap."""
+    top = 2**128
     if policy.kind == "poly":
-        top = 2 ** (128 // policy.param)
-        large = [top - 1, top, 10**5 + 3]
-    else:
-        large = [1, 2, 5, 6, 7, 8, 12] if policy.kind == "doubexp" else [1, min(policy.param, 10**6)]
-    for n in large:
-        for value in values([n]):
-            near = values([n - 1, n, n + 1])
-            for m in (value - 1, value, value + 1):
-                assert policy.is_range_value(m) == (m in near), (n, m)
-    assert not policy.is_range_value(2**128 + 1)
+        top = round(2 ** (128 / policy.param))
+        while (top + 1) ** policy.param <= 2**128:
+            top += 1
+        while top**policy.param > 2**128:
+            top -= 1
+    return range(max(1, top - 3), top + 4)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
+def test_policy_is_non_decreasing_at_least_n_and_refuses_every_larger_n(policy):
+    # the three properties the bitmap length rule and the audits rely on
+    last = None
+    for n in sorted({*range(1, 3001), *_cap_window(policy)}):
+        try:
+            m = policy.evaluate(n)
+        except InvalidParams:
+            m = "refused"
+        if last == "refused":
+            assert m == "refused", n
+        elif m != "refused":
+            assert m >= n, n
+            assert last is None or m >= last, n
+        last = m
+
+
+def _payload(bits: str) -> Bits:
+    padded = bits + "0" * (-len(bits) % 8)
+    return Bits(int(padded or "0", 2).to_bytes(len(padded) // 8, "big"), len(bits))
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.describe())
+def test_bitmap_length_rule_matches_a_rule_built_from_the_values_of_m(policy):
+    """A payload decodes iff some M(n) * width, tried largest first, is all
+    of it or, for whole bytes, all but at most 7 zero bits; its colors are
+    then the M(n) entries of that content."""
+    cap = 1 << 13
+    values = set()
+    for n in range(1, cap + 10):  # M(n) >= n: every value a length can hold
+        try:
+            values.add(policy.evaluate(n))
+        except InvalidParams:
+            pass
+    rng = random.Random(policy.describe())
+    for target in (clique(2), clique(3), cycle(5)):
+        params = SchemeParams(target, policy)
+        width = params.value_width
+        sizes = {m * width for m in values}
+        lengths = set(range(601))
+        larger = sorted(size for size in sizes if 600 < size <= cap)
+        for size in larger[:4] + larger[-2:]:
+            lengths.update(range(size - 9, size + 10))
+        for length in sorted(lengths):
+            tails = [length] + ([length - 1, rng.randrange(max(0, length - 9), length)] if length else [])
+            for at in tails:  # the set bit's position; none at `length`
+                bits = "0" * at + "1" * (at < length) + "0" * (length - at - 1)
+                window = range(length - 7, length + 1) if length % 8 == 0 else [length]
+                expected = None
+                for content in sorted(sizes.intersection(window), reverse=True):
+                    if "1" not in bits[content:]:
+                        colors = tuple(int(bits[i : i + width], 2) for i in range(0, content, width))
+                        expected = colors if max(colors) < target.vertex_count else None
+                        break
+                cert = Certificate(SchemeTag.BITMAP, _payload(bits))
+                if expected is None:
+                    with pytest.raises(MalformedCertificate):
+                        decode_certificate(cert, params)
+                else:
+                    assert decode_certificate(cert, params).colors == expected, (target, length, at)
 
 
 class TestRandomIds:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -131,6 +132,18 @@ class TestAudit:
         rep_map = audit_soundness(K3, ids, SchemeTag.BITMAP, fixed8_params())
         assert rep_map.certificates_tried == 256
         assert not rep_map.certificate_accepted_exists
+
+    def test_idlist_audit_cost_does_not_grow_with_the_largest_identifier(self):
+        # claim 1 is counted whole (2^40 ids x 2 colors); claim 2's first
+        # accepted list is ((0, 0), (2^29, 1)), of rank 2^29 * 2 + 1
+        started = time.perf_counter()
+        report = audit_soundness(
+            Graph.of(2, [(0, 1)]), IdAssignment((0, 2**29), 2**40), SchemeTag.IDLIST,
+            SchemeParams(K2, IdRangePolicy.fixed(2**40)), AuditBounds(2, 10**30),
+        )
+        assert time.perf_counter() - started < 1.0
+        assert report.certificate_accepted_exists
+        assert report.certificates_tried == 2**41 + 2**30 + 2
 
     def test_bitmap_ranges_share_one_unsolvable_quotient(self, monkeypatch):
         # K4 -> K3 has no coloring; ranges 4, 5 and 6 each hold every
