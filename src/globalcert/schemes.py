@@ -3,8 +3,9 @@
 One certificate is shared by every node; each node decides accept/reject
 from its LocalView alone. Payload layouts (all MSB-first):
 
-  HASH    gamma(n) | member index, ceil(log2 family_size(n, M(n))) bits
-                   | L, n entries of ceil(log2 n') bits each
+  HASH    gamma(n) | index of a member of the family H(ceil(lambda n), M(n)),
+                     ceil(log2 family_size(ceil(lambda n), M(n))) bits
+                   | L, ceil(lambda n) entries of ceil(log2 n') bits each
   IDLIST  gamma(n) | n records of (ceil(log2 M(n)) id bits + color bits),
                    expected in strictly ascending id order
   BITMAP  M(n) * ceil(log2 n') bits; the color of the vertex with
@@ -13,12 +14,18 @@ from its LocalView alone. Payload layouts (all MSB-first):
           valid iff that is all of it, or, for a whole number of bytes,
           all but at most 7 zero bits of padding
 
+HASH and IDLIST share one field codec: each is gamma(n) and then fixed-width
+fields, and the layout of a claim of n gives every field's bound. One writer
+and one reader serve both, and the size formulas sum the same bounds.
+
 Each verifier turns the payload into a color lookup (identifier -> color,
-or None when the certificate gives it no valid color): L[h(id)] below
-M(claimed n) for HASH; the record table for IDLIST, None everywhere if
-unsorted; the color at position id for BITMAP, whose every entry must lie
-in the target. One check then accepts iff the node's own identifier and its
-neighbors' have colors and every incident color pair is a target edge.
+or None when the certificate gives it no valid color): L[h(id)] for HASH;
+the record table for IDLIST, None everywhere if unsorted; the color at
+position id for BITMAP, whose every entry must lie in the target. An
+identifier outside [0, M), for the M of the claimed n or of the bitmap's
+length, has no color. One check then accepts iff the node's own identifier
+and its neighbors' have colors and every incident color pair is a target
+edge.
 
 The certificate is global, so its lookup depends only on the payload and
 the params. `shared_lookup` builds it once for the nodes of a network: it
@@ -165,58 +172,101 @@ class ProveStats:
 
 
 # ---------------------------------------------------------------------------
-# shared gamma/index/values codec (used by the HASH scheme and by the CSP
-# generalization, which differs only in what an entry of L means)
+# one field codec for the HASH and IDLIST layouts, and for the CSP scheme,
+# which shares the HASH layout
 # ---------------------------------------------------------------------------
+
+
+class _Layout:
+    """A claim of n written as gamma(n), then the `head` fields, then `count`
+    copies of the `record` fields, each given by its bound: a field holds a
+    value below its bound in ceil(log2 bound) bits. Fields are kept as
+    (bound, width) pairs."""
+
+    def __init__(self, n: int, head: tuple[int, ...], record: tuple[int, ...], count: int):
+        self.n, self.count = n, count
+        self.head = [(bound, (bound - 1).bit_length()) for bound in head]
+        self.record = [(bound, (bound - 1).bit_length()) for bound in record]
+
+    def bits(self) -> int:
+        return gamma_len(self.n) + sum(w for _, w in self.head) + self.count * sum(w for _, w in self.record)
+
+    def fields(self) -> list[tuple[int, int]]:
+        return self.head + self.record * self.count
+
+
+def _hash_layout(n: int, params: HashFramework, payload_bits: int | None = None) -> _Layout:
+    """HASH: a member index below family_size, then ceil(lambda n) entries
+    below the domain size. Given a payload's length, it first refuses a
+    claim the payload cannot hold, before family_size, whose cost grows
+    with k and which stops converging between k = 20000 and k = 40000."""
+    buckets = params.bucket_count(n)
+    # a claim n >= 2 needs M >= 2, so its family for k buckets has at least
+    # e^k members: the index takes over 1.4426 k bits, the entries k * width
+    if payload_bits is not None and n > 1 and \
+            buckets * (14426 + 10000 * params.value_width) > 10000 * (payload_bits - gamma_len(n)):
+        raise MalformedCertificate("claimed n larger than the payload allows")
+    return _Layout(n, (params.family(n).size,), (params.domain_size,), buckets)
+
+
+def _idlist_layout(n: int, params: SchemeParams) -> _Layout:
+    """IDLIST: n records, each an identifier below M(n) and a color below n'."""
+    return _Layout(n, (), (params.id_policy.evaluate(n), params.domain_size), n)
+
+
+def _write_fields(layout: _Layout, values) -> Bits:
+    """gamma(n), then each value in its field; InvalidParams on a value
+    outside [0, bound)."""
+    fields = layout.fields()
+    if len(values) != len(fields):
+        raise InvalidParams(f"expected {len(fields)} fields, got {len(values)}")
+    writer = BitWriter()
+    writer.write_gamma(layout.n)
+    write = writer.write
+    for value, (bound, width) in zip(values, fields):
+        if not 0 <= value < bound:
+            raise InvalidParams(f"field value {value} outside [0, {bound})")
+        write(value, width)
+    return writer.getvalue()
+
+
+def _read_fields(payload: Bits, layout_of: Callable[[int], _Layout]) -> tuple[int, list[int]]:
+    """The claimed n and the field values of a payload laid out as
+    `layout_of(n)`; MalformedCertificate on a claim the payload cannot hold,
+    a value at or above its bound, or anything but zero padding after."""
+    reader = BitReader(payload)
+    n = reader.read_gamma()
+    try:
+        layout = layout_of(n)
+    except InvalidParams as exc:
+        raise MalformedCertificate(str(exc)) from None
+    # this bounds the reads below by the payload, but for zero-width fields:
+    # an id-list record of width 0 needs M(n) = 1, so n = 1, and a hash
+    # claim of many zero-width entries the hash guard refuses
+    if layout.bits() > payload.length:
+        raise MalformedCertificate("claimed n larger than the payload allows")
+    read = reader.read
+    values = []
+    for bound, width in layout.fields():
+        value = read(width)
+        if value >= bound:
+            raise MalformedCertificate(f"field value {value} outside [0, {bound})")
+        values.append(value)
+    reader.expect_zero_padding()
+    return n, values
 
 
 def encode_assignment_fields(
     claimed_n: int, hash_index: int, values: tuple[int, ...], params: HashFramework
 ) -> Bits:
-    spec = params.family(claimed_n)
-    if not 0 <= hash_index < spec.size:
-        raise InvalidParams(f"hash index {hash_index} outside family of size {spec.size}")
-    if len(values) != spec.k:
-        raise InvalidParams(f"expected {spec.k} entries, got {len(values)}")
-    domain, width = params.domain_size, params.value_width
-    writer = BitWriter()
-    writer.write_gamma(claimed_n)
-    writer.write(hash_index, spec.index_width)
-    for v in values:
-        if not 0 <= v < domain:
-            raise InvalidParams(f"entry {v} outside [0, {domain})")
-        writer.write(v, width)
-    return writer.getvalue()
+    return _write_fields(_hash_layout(claimed_n, params), (hash_index, *values))
 
 
 def decode_assignment_fields(payload: Bits, params: HashFramework) -> tuple[int, int, tuple[int, ...]]:
     """Inverse of encode_assignment_fields; raises MalformedCertificate on
     any syntactic violation, including out-of-range index or entries."""
-    reader = BitReader(payload)
-    claimed_n = reader.read_gamma()
-    buckets = params.bucket_count(claimed_n)
-    domain, width = params.domain_size, params.value_width
-    # a claim n >= 2 needs M >= 2, so its family for k buckets has at least
-    # e^k members: the index takes over 1.4426 k bits and the entries k *
-    # width more. This refuses a claim the payload cannot hold before
-    # family_size, whose cost grows with k and which stops converging
-    # between k = 20000 and k = 40000
-    if claimed_n > 1 and buckets * (14426 + 10000 * width) > 10000 * reader.bits_left():
-        raise MalformedCertificate("claimed n larger than the payload allows")
-    try:
-        spec = params.family(claimed_n)
-    except InvalidParams as exc:
-        raise MalformedCertificate(str(exc)) from None
-    hash_index = reader.read(spec.index_width)
-    if hash_index >= spec.size:
-        raise MalformedCertificate("hash index outside the family")
-    values = []
-    for _ in range(buckets):
-        v = reader.read(width)
-        if v >= domain:
-            raise MalformedCertificate("entry outside the value domain")
-        values.append(v)
-    reader.expect_zero_padding()
+    layout_of = functools.partial(_hash_layout, params=params, payload_bits=payload.length)
+    claimed_n, (hash_index, *values) = _read_fields(payload, layout_of)
     return claimed_n, hash_index, tuple(values)
 
 
@@ -267,46 +317,13 @@ def decode_hash_payload(payload: Bits, params: HashFramework) -> HashCertificate
 def encode_idlist_certificate(decoded: IdListCertificate, params: SchemeParams) -> Certificate:
     """Record order is preserved verbatim; the verifier, not the encoder,
     is responsible for rejecting unsorted lists."""
-    n = decoded.claimed_n
-    if n < 1:
-        raise InvalidParams("id list needs at least one record")
-    id_range = params.id_policy.evaluate(n)
-    id_width = (id_range - 1).bit_length()
-    width = params.value_width
-    writer = BitWriter()
-    writer.write_gamma(n)
-    for identifier, color in decoded.records:
-        if not 0 <= identifier < id_range:
-            raise InvalidParams(f"identifier {identifier} outside range {id_range}")
-        if not 0 <= color < params.target.vertex_count:
-            raise InvalidParams(f"color {color} outside the target")
-        writer.write(identifier, id_width)
-        writer.write(color, width)
-    return Certificate(SchemeTag.IDLIST, writer.getvalue())
+    fields = [field for identifier, color in decoded.records for field in (identifier, color)]
+    return Certificate(SchemeTag.IDLIST, _write_fields(_idlist_layout(decoded.claimed_n, params), fields))
 
 
 def decode_idlist_payload(payload: Bits, params: SchemeParams) -> IdListCertificate:
-    reader = BitReader(payload)
-    claimed_n = reader.read_gamma()
-    try:
-        id_range = params.id_policy.evaluate(claimed_n)
-    except InvalidParams as exc:
-        raise MalformedCertificate(str(exc)) from None
-    id_width = (id_range - 1).bit_length()
-    width = params.value_width
-    # a zero record width needs M(claimed n) = 1, which `evaluate` allows
-    # only for a claim of 1
-    if claimed_n * (id_width + width) > reader.bits_left():
-        raise MalformedCertificate("claimed n larger than the payload allows")
-    records = []
-    for _ in range(claimed_n):
-        identifier = reader.read(id_width)
-        color = reader.read(width)
-        if identifier >= id_range or color >= params.target.vertex_count:
-            raise MalformedCertificate("record field outside its domain")
-        records.append((identifier, color))
-    reader.expect_zero_padding()
-    return IdListCertificate(tuple(records))
+    _, fields = _read_fields(payload, lambda n: _idlist_layout(n, params))
+    return IdListCertificate(tuple(zip(fields[::2], fields[1::2])))
 
 
 def _write_bitmap(colors, id_range: int, width: int) -> Certificate:
@@ -463,11 +480,11 @@ ColorLookup = Callable[[int], "int | None"]
 
 def hash_colors(payload: Bits, params: HashFramework) -> ColorLookup:
     """Identifier -> L[h(identifier)] through the claimed family member, or
-    None at or above M(claimed n); the graph and the CSP verifiers share it."""
+    None outside [0, M(claimed n)); the graph and the CSP verifiers share it."""
     decoded = decode_hash_payload(payload, params)
     id_range = params.id_policy.evaluate(decoded.claimed_n)
     index, colors, buckets = decoded.hash_index, decoded.colors, len(decoded.colors)
-    return lambda i: colors[eval_hash(index, i, buckets)] if i < id_range else None
+    return lambda i: colors[eval_hash(index, i, buckets)] if 0 <= i < id_range else None
 
 
 def _idlist_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
@@ -496,12 +513,13 @@ def _some_field_at_least(fields: int, count: int, width: int, bound: int) -> boo
 
 
 def _bitmap_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
-    """The entry at position id; refuses the payload, as
-    `decode_bitmap_payload` does, if any entry lies outside the target."""
+    """The entry at position id, or None outside [0, M); refuses the payload,
+    as `decode_bitmap_payload` does, if any entry lies outside the target.
+    A 1-vertex target's empty payload fits every M."""
     width = params.value_width
     content = _bitmap_content_bits(payload, params)
     if width == 0:
-        return lambda identifier: 0
+        return lambda identifier: 0 if identifier >= 0 else None
     id_range = content // width
     data = payload.data
     fields = int.from_bytes(data, "big") >> (8 * len(data) - content)
@@ -509,7 +527,7 @@ def _bitmap_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
         raise MalformedCertificate("color outside the target")
 
     def lookup(identifier: int) -> int | None:
-        if identifier >= id_range:
+        if not 0 <= identifier < id_range:
             return None
         color = 0
         for i in range(identifier * width, (identifier + 1) * width):
@@ -629,13 +647,11 @@ def prove_certificate(
 
 
 def hash_payload_bits(n: int, params: HashFramework) -> int:
-    spec = params.family(n)
-    return gamma_len(n) + spec.index_width + spec.k * params.value_width
+    return _hash_layout(n, params).bits()
 
 
 def idlist_payload_bits(n: int, params: SchemeParams) -> int:
-    id_range = params.id_policy.evaluate(n)
-    return gamma_len(n) + n * ((id_range - 1).bit_length() + params.value_width)
+    return _idlist_layout(n, params).bits()
 
 
 def bitmap_payload_bits(n: int, params: SchemeParams) -> int:

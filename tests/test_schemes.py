@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from globalcert import (
     BitmapCertificate,
@@ -10,12 +11,14 @@ from globalcert import (
     BitmapTooLarge,
     Certificate,
     CspParams,
+    CspView,
     Graph,
     HashCertificate,
     IdAssignment,
     IdListCertificate,
     IdRangePolicy,
     InvalidParams,
+    LocalView,
     MalformedCertificate,
     NotSatisfiable,
     SchemeParams,
@@ -30,6 +33,7 @@ from globalcert import (
     graph_to_csp,
     local_view,
     prove_bitmap,
+    prove_csp,
     prove_hash,
     prove_idlist,
     random_h_colorable_graph,
@@ -40,13 +44,18 @@ from globalcert import (
     verify_hash,
     verify_idlist,
 )
-from globalcert.bits import BitWriter
+from globalcert.bits import BitWriter, gamma_len
+from globalcert.csp import edge_relation
 from globalcert.hashing import HashFamilySpec
 from globalcert.schemes import (
     _bitmap_colors,
     bitmap_payload_bits,
+    decode_assignment_fields,
     decode_hash_payload,
+    decode_idlist_payload,
+    encode_assignment_fields,
     encode_hash_certificate,
+    encode_idlist_certificate,
     hash_payload_bits,
     idlist_payload_bits,
 )
@@ -437,6 +446,78 @@ class TestBitmapCodec:
                 _bitmap_colors(bad.payload, params)
 
 
+class TestFieldCodec:
+    """The hash (graph and CSP) and id-list layouts, one field codec: gamma(n),
+    then fields of ceil(log2 bound) bits, with the bounds rebuilt here."""
+
+    @staticmethod
+    def encode(kind, n, fields, params):
+        if kind == "idlist":
+            records = tuple(zip(fields[::2], fields[1::2]))
+            return encode_idlist_certificate(IdListCertificate(records), params).payload
+        if kind == "hash":
+            return encode_hash_certificate(HashCertificate(n, fields[0], tuple(fields[1:])), params).payload
+        return encode_assignment_fields(n, fields[0], tuple(fields[1:]), params)
+
+    @staticmethod
+    def decode(kind, payload, params):
+        if kind == "idlist":
+            records = decode_idlist_payload(payload, params).records
+            return len(records), [field for record in records for field in record]
+        if kind == "hash":
+            decoded = decode_hash_payload(payload, params)
+            return decoded.claimed_n, [decoded.hash_index, *decoded.colors]
+        claimed_n, index, values = decode_assignment_fields(payload, params)
+        return claimed_n, [index, *values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["hash", "csp", "idlist"]),
+        domain=st.integers(1, 5),
+        policy=st.sampled_from(["fixed:1", "fixed:2", "fixed:64", "poly:1", "poly:2", "poly:4", "doubexp"]),
+        multiplier=st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]),
+        n=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_round_trip_size_and_bounds(self, kind, domain, policy, multiplier, n, data):
+        policy = IdRangePolicy.parse(policy)
+        try:
+            id_range = policy.evaluate(n)
+        except InvalidParams:
+            assume(False)
+        if kind == "idlist":
+            params = SchemeParams(clique(domain), policy)
+            bounds, size = [id_range, domain] * n, idlist_payload_bits
+        else:
+            k = math.ceil(multiplier * n)
+            assume(k <= id_range)
+            params = (SchemeParams(clique(domain), policy, multiplier) if kind == "hash"
+                      else CspParams(domain, policy, multiplier))
+            bounds, size = [HashFamilySpec.for_params(k, id_range).size] + [domain] * k, hash_payload_bits
+        widths = [(bound - 1).bit_length() for bound in bounds]
+
+        def raw(fields):
+            writer = BitWriter()
+            writer.write_gamma(n)
+            for field, width in zip(fields, widths):
+                writer.write(field, width)
+            return writer.getvalue()
+
+        fields = [data.draw(st.integers(0, bound - 1)) for bound in bounds]
+        payload = self.encode(kind, n, fields, params)
+        assert payload == raw(fields)
+        assert self.decode(kind, payload, params) == (n, fields)
+        assert payload.length == size(n, params) == gamma_len(n) + sum(widths)
+
+        j = data.draw(st.integers(0, len(bounds) - 1))
+        fields[j] = bounds[j]
+        with pytest.raises(InvalidParams):
+            self.encode(kind, n, fields, params)
+        if bounds[j] >> widths[j] == 0:  # the bound fits its field
+            with pytest.raises(MalformedCertificate):
+                self.decode(kind, raw(fields), params)
+
+
 class TestIdListScheme:
     def test_single_edge_example(self):
         graph, ids = single_edge(ids=(5, 3), m=8)
@@ -545,3 +626,20 @@ class TestVerifierTotality:
         assert run_all_nodes(graph, ids, cert, params).decisions == (False,) * 6
         instance, csp_params = graph_to_csp(graph, ids, K2), CspParams(2, policy)
         assert not any(verify_csp_variable(csp_view(instance, v, payload), csp_params) for v in range(6))
+
+    @pytest.mark.parametrize("target", [K2, clique(1)], ids=["K2", "K1"])
+    def test_an_identifier_below_zero_has_no_color(self, target):
+        # identifiers 5 and 3 on an edge, or 5 alone for the loopless K1;
+        # every verifier rejects a view naming -1, as itself or a neighbor
+        graph, ids = single_edge() if target.edges else (Graph.of(1), IdAssignment((5,), 8))
+        params = params_fixed(8, target=target)
+        named = [(-1, ())] + [(i, (-1,)) for i in ids.ids] + [(-1, (i,)) for i in ids.ids]
+        for prove, verify in ((prove_hash, verify_hash), (prove_idlist, verify_idlist), (prove_bitmap, verify_bitmap)):
+            payload = prove(graph, ids, params).payload
+            views = [LocalView(own, frozenset(others), payload) for own, others in named]
+            assert [verify(view, params) for view in views] == [False] * len(named)
+        csp_params = CspParams(target.vertex_count, IdRangePolicy.fixed(8))
+        payload = prove_csp(graph_to_csp(graph, ids, target), csp_params).payload
+        relation = edge_relation(target)
+        views = [CspView(own, tuple(((own, other), relation) for other in others), payload) for own, others in named]
+        assert [verify_csp_variable(view, csp_params) for view in views] == [False] * len(named)
