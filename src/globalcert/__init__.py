@@ -8,7 +8,7 @@ oracles that audit completeness and soundness exhaustively at small
 scale and a benchmark harness for exact certificate sizes.
 """
 
-from .bits import BitReader, Bits, BitWriter, gamma_len
+from .bits import Bits, gamma_len
 from .csp import (
     CspConstraint,
     CspInstance,

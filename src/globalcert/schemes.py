@@ -15,8 +15,11 @@ from its LocalView alone. Payload layouts (all MSB-first):
           all but at most 7 zero bits of padding
 
 HASH and IDLIST share one field codec: each is gamma(n) and then fixed-width
-fields, and the layout of a claim of n gives every field's bound. One writer
-and one reader serve both, and the size formulas sum the same bounds.
+fields, and the layout of a claim of n gives every field's bound. The writer
+joins the binary digits of gamma(n) and of every field into one bit string;
+the reader takes the payload as one integer, finds gamma(n) from its bit
+length, and cuts the fields from the digits of the claim's layout alone.
+The size formulas sum the same bounds.
 
 Each verifier turns the payload into a color lookup (identifier -> color,
 or None when the certificate gives it no valid color): L[h(id)] for HASH;
@@ -53,14 +56,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from typing import ClassVar
 
-from .bits import BitReader, Bits, BitWriter, gamma_len
+from .bits import Bits, gamma_len
 from .errors import (
     BitmapTooLarge,
     InvalidParams,
@@ -139,7 +141,8 @@ class HashFramework:
         return (self.domain_size - 1).bit_length()
 
     def bucket_count(self, n: int) -> int:
-        return math.ceil(self.range_multiplier * n)
+        """ceil(lambda n), in integers."""
+        return -(-self.range_multiplier.numerator * n // self.range_multiplier.denominator)
 
     def family(self, n: int) -> HashFamilySpec:
         """The family of a claim of n: ceil(lambda n) buckets over M(n)
@@ -220,46 +223,71 @@ def _write_fields(layout: _Layout, values) -> Bits:
     fields = layout.fields()
     if len(values) != len(fields):
         raise InvalidParams(f"expected {len(fields)} fields, got {len(values)}")
-    writer = BitWriter()
-    writer.write_gamma(layout.n)
-    write = writer.write
-    for value, (bound, width) in zip(values, fields):
-        if not 0 <= value < bound:
-            raise InvalidParams(f"field value {value} outside [0, {bound})")
-        write(value, width)
-    return writer.getvalue()
+    n = layout.n
+    digits = ["0" * (n.bit_length() - 1), bin(n)[2:]]
+    try:
+        for value, (bound, width) in zip(values, fields):
+            if not 0 <= value < bound:
+                raise InvalidParams(f"field value {value} outside [0, {bound})")
+            # value < 2^width: the leading 1 fixes the width, and width 0 gives ""
+            digits.append(bin(value | 1 << width)[3:])
+    except TypeError:
+        raise InvalidParams(f"field value {value!r} is not an integer") from None
+    return Bits.from01("".join(digits))
 
 
 def _read_fields(payload: Bits, layout_of: Callable[[int], _Layout]) -> tuple[int, list[int]]:
     """The claimed n and the field values of a payload laid out as
     `layout_of(n)`; MalformedCertificate on a claim the payload cannot hold,
     a value at or above its bound, or anything but zero padding after."""
-    reader = BitReader(payload)
-    n = reader.read_gamma()
+    length = payload.length
+    # the payload as one integer of `total` bits, its padding bits zero
+    value = int.from_bytes(payload.data, "big")
+    total = 8 * len(payload.data)
+    # gamma(n) is z zeros, then the z + 1 digits of n, whose leading 1 is
+    # the payload's first 1
+    zeros = total - value.bit_length()
+    if 2 * zeros + 1 > length:
+        raise MalformedCertificate("payload truncated")
+    n = value >> (total - 2 * zeros - 1)
     try:
         layout = layout_of(n)
     except InvalidParams as exc:
         raise MalformedCertificate(str(exc)) from None
-    # this bounds the reads below by the payload, but for zero-width fields:
+    # this bounds the fields below by the payload, but for zero-width ones:
     # an id-list record of width 0 needs M(n) = 1, so n = 1, and a hash
     # claim of many zero-width entries the hash guard refuses
-    if layout.bits() > payload.length:
+    end = layout.bits()
+    if end > length:
         raise MalformedCertificate("claimed n larger than the payload allows")
-    read = reader.read
+    # the claim's digits from n's leading 1 on: the fields start after n
+    digits = format(value >> (total - end), "b")
+    pos = zeros + 1
     values = []
     for bound, width in layout.fields():
-        value = read(width)
-        if value >= bound:
-            raise MalformedCertificate(f"field value {value} outside [0, {bound})")
-        values.append(value)
-    reader.expect_zero_padding()
+        field = int(digits[pos:pos + width] or "0", 2)
+        if field >= bound:
+            raise MalformedCertificate(f"field value {field} outside [0, {bound})")
+        values.append(field)
+        pos += width
+    # either nothing follows, or the zero fill up to a byte boundary: then
+    # the payload is whole bytes, and the fill its integer's last bits
+    tail = length - end
+    if tail and (tail != -end % 8 or value & ((1 << tail) - 1)):
+        raise MalformedCertificate("trailing garbage after payload")
     return n, values
 
 
 def encode_assignment_fields(
     claimed_n: int, hash_index: int, values: tuple[int, ...], params: HashFramework
 ) -> Bits:
-    return _write_fields(_hash_layout(claimed_n, params), (hash_index, *values))
+    if not isinstance(claimed_n, int):
+        raise InvalidParams(f"claimed n {claimed_n!r} is not an integer")
+    try:
+        fields = (hash_index, *values)
+    except TypeError:
+        raise InvalidParams("hash entries are not a sequence") from None
+    return _write_fields(_hash_layout(claimed_n, params), fields)
 
 
 def decode_assignment_fields(payload: Bits, params: HashFramework) -> tuple[int, int, tuple[int, ...]]:
@@ -317,7 +345,10 @@ def decode_hash_payload(payload: Bits, params: HashFramework) -> HashCertificate
 def encode_idlist_certificate(decoded: IdListCertificate, params: SchemeParams) -> Certificate:
     """Record order is preserved verbatim; the verifier, not the encoder,
     is responsible for rejecting unsorted lists."""
-    fields = [field for identifier, color in decoded.records for field in (identifier, color)]
+    try:
+        fields = [field for identifier, color in decoded.records for field in (identifier, color)]
+    except (TypeError, ValueError):
+        raise InvalidParams("an id-list record is not an (identifier, color) pair") from None
     return Certificate(SchemeTag.IDLIST, _write_fields(_idlist_layout(decoded.claimed_n, params), fields))
 
 

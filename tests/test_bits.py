@@ -1,107 +1,64 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
-from globalcert import BitReader, Bits, BitWriter, MalformedCertificate, gamma_len
+from globalcert import (
+    Bits,
+    HashCertificate,
+    IdListCertificate,
+    IdRangePolicy,
+    MalformedCertificate,
+    SchemeParams,
+    clique,
+    decode_certificate,
+    encode_certificate,
+    gamma_len,
+)
 from globalcert.errors import InvalidParams
+from globalcert.schemes import decode_hash_payload, decode_idlist_payload
 
 
 def test_known_gamma_codes():
+    # gamma(n) is the prefix of every hash and id-list payload claiming n
+    params = SchemeParams(clique(2), IdRangePolicy.fixed(16))
     cases = {1: "1", 2: "010", 3: "011", 4: "00100", 8: "0001000", 12: "0001100"}
-    for n, bits in cases.items():
-        w = BitWriter()
-        w.write_gamma(n)
-        assert w.getvalue().to01() == bits
-        assert gamma_len(n) == len(bits)
+    for n, code in cases.items():
+        assert gamma_len(n) == len(code)
+        hashed = encode_certificate(HashCertificate(n, 0, (0,) * n), params)
+        listed = encode_certificate(IdListCertificate(tuple((i, 0) for i in range(n))), params)
+        for cert in (hashed, listed):
+            assert cert.payload.to01().startswith(code)
+            assert decode_certificate(cert, params).claimed_n == n
 
 
 def test_gamma_rejects_zero():
     with pytest.raises(InvalidParams):
-        BitWriter().write_gamma(0)
-    with pytest.raises(InvalidParams):
         gamma_len(0)
 
 
-@given(st.integers(min_value=1, max_value=10**9))
-def test_gamma_round_trip(n):
-    w = BitWriter()
-    w.write_gamma(n)
-    r = BitReader(w.getvalue())
-    assert r.read_gamma() == n
-    assert r.bits_left() == 0
-
-
-@given(st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 70)), max_size=20))
-def test_write_read_round_trip(fields):
-    fields = [(v & ((1 << w) - 1), w) for v, w in fields]
-    writer = BitWriter()
-    for v, w in fields:
-        writer.write(v, w)
-    reader = BitReader(writer.getvalue())
-    for v, w in fields:
-        assert reader.read(w) == v
-    reader.expect_zero_padding()
-
-
-@given(st.data())
-def test_reads_at_any_offset_match_writes(data):
-    # fields of 0..130 bits after a prefix of any length, then a tail that
-    # leaves a partial last byte, so fields straddle byte and window edges
-    widths = [data.draw(st.integers(0, 1100))]
-    widths += data.draw(st.lists(st.integers(0, 130), max_size=12))
-    tail = data.draw(st.integers(1, 7))
-    if (sum(widths) + tail) % 8 == 0:
-        tail += 1
-    widths.append(tail)
-    values = [data.draw(st.integers(0, (1 << w) - 1)) for w in widths]
-    writer = BitWriter()
-    for v, w in zip(values, widths):
-        writer.write(v, w)
-    bits = writer.getvalue()
-    assert bits.length % 8
-    reader = BitReader(bits)
-    assert [reader.read(w) for w in widths] == values
-    assert reader.bits_left() == 0
-
-
-def test_write_rejects_oversized_value():
-    with pytest.raises(InvalidParams):
-        BitWriter().write(4, 2)
-
-
-def test_reader_overrun_is_malformed():
-    w = BitWriter()
-    w.write(5, 3)
-    r = BitReader(w.getvalue())
-    with pytest.raises(MalformedCertificate):
-        r.read(4)
-
-
 def test_padding_rules():
-    # exact-length payload: nothing left
-    w = BitWriter()
-    w.write(0b101, 3)
-    r = BitReader(w.getvalue())
-    r.read(3)
-    r.expect_zero_padding()
-
-    # byte-aligned payload with zero fill after 3 content bits: tolerated
-    r = BitReader(Bits.from01("10100000"))
-    r.read(3)
-    r.expect_zero_padding()
-
-    # same but a padding bit set: rejected
-    r = BitReader(Bits.from01("10100100"))
-    r.read(3)
-    with pytest.raises(MalformedCertificate):
-        r.expect_zero_padding()
-
-    # non-byte-aligned tail is not padding
-    r = BitReader(Bits.from01("10100"))
-    r.read(3)
-    with pytest.raises(MalformedCertificate):
-        r.expect_zero_padding()
+    # K2 under fixed:4, a claim of 2: the hash payload is 10 bits, the id
+    # list 9, so neither fills its last byte
+    params = SchemeParams(clique(2), IdRangePolicy.fixed(4))
+    honest = [
+        (decode_hash_payload, encode_certificate(HashCertificate(2, 7, (0, 1)), params).payload.to01()),
+        (decode_idlist_payload, encode_certificate(IdListCertificate(((0, 1), (3, 0))), params).payload.to01()),
+    ]
+    for decode, content in honest:
+        assert len(content) % 8
+        expected = decode(Bits.from01(content), params)
+        fill = -len(content) % 8
+        # exact length, and a zero fill up to the byte boundary: accepted
+        assert decode(Bits.from01(content + "0" * fill), params) == expected
+        garbage = [
+            content + "0" * (fill - 1) + "1",  # a fill bit set
+            content + "0" * (fill + 8),  # a byte more than the fill
+            content + "0",  # a tail on a payload that is not whole bytes
+            content + "0" * (fill - 1),
+        ]
+        for payload in garbage:
+            with pytest.raises(MalformedCertificate, match="trailing garbage after payload"):
+                decode(Bits.from01(payload), params)
 
 
 def test_bits_value_semantics():
@@ -130,3 +87,23 @@ def test_random_bit_strings_round_trip_through_bytes():
         bits = Bits.from01(s)
         assert bits.to01() == s
         assert Bits(bits.data, bits.length) == bits
+
+
+@pytest.mark.parametrize("text", ["1_0", " 10", "10 ", "+1", "-1", "2", "0b1", "1\n"])
+def test_from01_takes_only_binary_digits(text):
+    # int(text, 2) takes all of these but "2"
+    with pytest.raises(InvalidParams, match="not a bit"):
+        Bits.from01(text)
+
+
+def test_to01_and_from01_round_trip_every_length():
+    rng = random.Random(13)
+    for length in range(2001):
+        s = "".join(rng.choice("01") for _ in range(length))
+        bits = Bits.from01(s)
+        assert len(bits) == length and len(bits.data) == (length + 7) // 8
+        assert bits.to01() == s
+        if length <= 64:
+            assert "".join(str(bits.bit(i)) for i in range(length)) == s
+    assert Bits.from01("") == Bits.empty() and Bits.empty().to01() == ""
+    assert Bits.from01("0" * 9).to01() == "0" * 9

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -44,11 +45,14 @@ from globalcert import (
     verify_hash,
     verify_idlist,
 )
-from globalcert.bits import BitWriter, gamma_len
+from globalcert.bits import gamma_len
 from globalcert.csp import edge_relation
 from globalcert.hashing import HashFamilySpec
 from globalcert.schemes import (
     _bitmap_colors,
+    _Layout,
+    _read_fields,
+    _write_fields,
     bitmap_payload_bits,
     decode_assignment_fields,
     decode_hash_payload,
@@ -123,12 +127,32 @@ class TestEncoding:
         with pytest.raises(InvalidParams):
             encode_certificate(HashCertificate(2, 0, (0, 2)), params)  # color >= n'
         # index 30 and 31 fit the 5-bit field but name no family member
-        w = BitWriter()
-        w.write_gamma(2)
-        w.write(31, 5)
-        w.write(1, 2)
         with pytest.raises(MalformedCertificate):
-            decode_hash_payload(w.getvalue(), params)
+            decode_hash_payload(Bits.from01("010" "11111" "01"), params)
+
+    ENCODER_MISUSE = {
+        "id-list record of three fields": (encode_idlist_certificate, IdListCertificate(((0, 0, 0),))),
+        "id-list record of one field": (encode_idlist_certificate, IdListCertificate(((0,),))),
+        "id-list record that is an integer": (encode_idlist_certificate, IdListCertificate((5,))),
+        "id-list records that are an integer": (encode_idlist_certificate, IdListCertificate(5)),
+        "id-list color 1.5": (encode_idlist_certificate, IdListCertificate(((0, 1.5),))),
+        "id-list identifier 0.5": (encode_idlist_certificate, IdListCertificate(((0.5, 1),))),
+        "id-list color None": (encode_idlist_certificate, IdListCertificate(((0, None),))),
+        "hash color 1.5": (encode_hash_certificate, HashCertificate(2, 0, (0, 1.5))),
+        "hash index 1.5": (encode_hash_certificate, HashCertificate(2, 1.5, (0, 1))),
+        "hash color '1'": (encode_hash_certificate, HashCertificate(2, 0, (0, "1"))),
+        "hash claim 2.0": (encode_hash_certificate, HashCertificate(2.0, 0, (0, 1))),
+        "hash colors an integer": (encode_hash_certificate, HashCertificate(2, 0, 5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ENCODER_MISUSE))
+    def test_a_malformed_decoded_form_is_invalid_params(self, case):
+        encode, decoded = self.ENCODER_MISUSE[case]
+        with pytest.raises(InvalidParams):
+            encode(decoded, params_fixed(4))
+        if encode is encode_hash_certificate:
+            with pytest.raises(InvalidParams):
+                encode(decoded, CspParams(2, IdRangePolicy.fixed(4)))
 
     def test_byte_padding_accepted_after_file_round_trip(self):
         params = params_fixed(4)
@@ -266,6 +290,15 @@ class TestHashFramework:
             assert len({hash(p) for p in spellings}) == 1
             assert spellings[0].range_multiplier == Fraction(3, 2)
 
+    @given(
+        multiplier=st.fractions(min_value=1, max_value=10**6, max_denominator=10**6),
+        n=st.integers(0, 10**40),
+    )
+    def test_bucket_count_is_the_ceiling_of_lambda_n(self, multiplier, n):
+        expected = math.ceil(Fraction(multiplier) * n)
+        assert SchemeParams(K2, IdRangePolicy.fixed(8), multiplier).bucket_count(n) == expected
+        assert CspParams(2, IdRangePolicy.fixed(8), multiplier).bucket_count(n) == expected
+
     @pytest.mark.parametrize("policy", [IdRangePolicy.fixed(64), IdRangePolicy.poly(2), IdRangePolicy.doubly_exponential()])
     @pytest.mark.parametrize("multiplier", [Fraction(1), Fraction(3, 2), Fraction(2)])
     def test_graph_and_csp_share_the_family(self, policy, multiplier):
@@ -295,10 +328,7 @@ class TestHashFramework:
             with pytest.raises(InvalidParams):
                 hash_payload_bits(2, p)
         # gamma(2) then room enough for four entries and an index
-        writer = BitWriter()
-        writer.write_gamma(2)
-        writer.write(0b1010_1010_1010_1010, 16)
-        cert = Certificate(SchemeTag.HASH, writer.getvalue())
+        cert = Certificate(SchemeTag.HASH, Bits.from01("010" + "1010" * 4))
         with pytest.raises(MalformedCertificate):
             decode_certificate(cert, params)
         graph, ids = single_edge(ids=(0, 2), m=3)
@@ -497,11 +527,8 @@ class TestFieldCodec:
         widths = [(bound - 1).bit_length() for bound in bounds]
 
         def raw(fields):
-            writer = BitWriter()
-            writer.write_gamma(n)
-            for field, width in zip(fields, widths):
-                writer.write(field, width)
-            return writer.getvalue()
+            gamma = format(n, f"0{2 * n.bit_length() - 1}b")
+            return Bits.from01(gamma + "".join(format(f, f"0{w}b") for f, w in zip(fields, widths) if w))
 
         fields = [data.draw(st.integers(0, bound - 1)) for bound in bounds]
         payload = self.encode(kind, n, fields, params)
@@ -516,6 +543,55 @@ class TestFieldCodec:
         if bounds[j] >> widths[j] == 0:  # the bound fits its field
             with pytest.raises(MalformedCertificate):
                 self.decode(kind, raw(fields), params)
+
+    @staticmethod
+    def head_only(bounds):
+        """The layout of gamma(n) then one field below each of `bounds`."""
+        return lambda n: _Layout(n, tuple(bounds), (), 0)
+
+    @given(st.integers(min_value=1, max_value=10**9))
+    def test_gamma_round_trip(self, n):
+        layout_of = self.head_only(())
+        payload = _write_fields(layout_of(n), [])
+        assert payload.to01() == format(n, f"0{2 * n.bit_length() - 1}b")
+        assert _read_fields(payload, layout_of) == (n, [])
+        for cut in range(1, payload.length + 1):
+            with pytest.raises(MalformedCertificate, match="payload truncated"):
+                _read_fields(Bits.from01(payload.to01()[:-cut]), layout_of)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_fields_of_any_width_round_trip(self, data):
+        # fields of 0..130 bits, after one of up to 1100 bits, so that they
+        # straddle byte boundaries at every offset
+        n = data.draw(st.integers(1, 2**40))
+        widths = [data.draw(st.integers(0, 1100))] + data.draw(st.lists(st.integers(0, 130), max_size=12))
+        bounds = [data.draw(st.integers((1 << w - 1) + 1, 1 << w)) if w else 1 for w in widths]
+        values = [data.draw(st.integers(0, bound - 1)) for bound in bounds]
+        layout_of = self.head_only(bounds)
+        payload = _write_fields(layout_of(n), values)
+        content = format(n, f"0{2 * n.bit_length() - 1}b") + "".join(
+            format(v, f"0{w}b") for v, w in zip(values, widths) if w
+        )
+        assert payload.to01() == content
+        assert _read_fields(payload, layout_of) == (n, values)
+        fill = -len(content) % 8
+        assert _read_fields(Bits.from01(content + "0" * fill), layout_of) == (n, values)
+        if fill:
+            with pytest.raises(MalformedCertificate, match="trailing garbage after payload"):
+                _read_fields(Bits.from01(content + "1".rjust(fill, "0")), layout_of)
+
+    def test_write_rejects_oversized_value(self):
+        layout = self.head_only((4,))(1)
+        for value in (4, 5, -1):
+            with pytest.raises(InvalidParams, match=rf"field value {value} outside \[0, 4\)"):
+                _write_fields(layout, [value])
+
+    def test_a_claim_longer_than_its_payload_is_malformed(self):
+        # gamma(1), then 3 of the 4 bits of a field below 16
+        with pytest.raises(MalformedCertificate, match="claimed n larger than the payload allows"):
+            _read_fields(Bits.from01("1" "101"), self.head_only((16,)))
+        assert _read_fields(Bits.from01("1" "1010"), self.head_only((16,))) == (1, [10])
 
 
 class TestIdListScheme:
@@ -599,6 +675,19 @@ class TestVerifierTotality:
             for verifier in (verify_hash, verify_idlist, verify_bitmap):
                 decision = verifier(view_of(graph, ids, 0, Certificate(SchemeTag.HASH, bits)), params)
                 assert decision in (True, False)
+
+    def test_a_megabyte_of_zeros_is_rejected_at_once(self):
+        # no gamma code ends in an all-zero payload; finding that must not
+        # cost one step per bit
+        payload = Bits(bytes(1 << 20), 8 << 20)
+        graph, ids = single_edge(ids=(5, 3), m=8)
+        params = params_fixed(8)
+        instance = graph_to_csp(graph, ids, K2)
+        start = time.perf_counter()
+        for verifier in (verify_hash, verify_idlist):
+            assert not verifier(LocalView(5, frozenset({3}), payload), params)
+        assert not verify_csp_variable(csp_view(instance, 0, payload), CspParams(2, IdRangePolicy.fixed(8)))
+        assert time.perf_counter() - start < 0.5
 
     def test_one_vertex_target_degenerates(self):
         lonely = clique(1)
