@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from globalcert import (
     Bits,
@@ -15,7 +16,7 @@ from globalcert import (
     gamma_len,
 )
 from globalcert.errors import InvalidParams
-from globalcert.schemes import decode_hash_payload, decode_idlist_payload
+from globalcert.schemes import _Layout, _read_fields, _write_fields, decode_hash_payload, decode_idlist_payload
 
 
 def test_known_gamma_codes():
@@ -59,6 +60,46 @@ def test_padding_rules():
         for payload in garbage:
             with pytest.raises(MalformedCertificate, match="trailing garbage after payload"):
                 decode(Bits.from01(payload), params)
+
+
+def _round_trip_fields(data, widths):
+    """Write gamma(n) and a value in fields exactly `widths` bits wide, check
+    the payload is their binary digits, read it back with and without a zero
+    fill to the byte, and return the digits and the layout."""
+    n = data.draw(st.integers(1, 2**40))
+    bounds = [data.draw(st.integers((1 << w - 1) + 1, 1 << w)) if w else 1 for w in widths]
+    values = [data.draw(st.integers(0, bound - 1)) for bound in bounds]
+
+    def layout_of(n):
+        return _Layout(n, tuple(bounds), (), 0)
+
+    payload = _write_fields(layout_of(n), values)
+    content = format(n, f"0{2 * n.bit_length() - 1}b") + "".join(
+        format(v, f"0{w}b") for v, w in zip(values, widths) if w
+    )
+    assert payload.to01() == content
+    assert _read_fields(payload, layout_of) == (n, values)
+    fill = -len(content) % 8
+    assert _read_fields(Bits.from01(content + "0" * fill), layout_of) == (n, values)
+    return content, layout_of
+
+
+@given(st.data())
+def test_write_read_round_trip(data):
+    _round_trip_fields(data, data.draw(st.lists(st.integers(0, 70), max_size=20)))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_reads_at_any_offset_match_writes(data):
+    # fields of 0..130 bits after one of up to 1100 bits, so that they
+    # straddle byte boundaries at every offset; a set fill bit is garbage
+    widths = [data.draw(st.integers(0, 1100))] + data.draw(st.lists(st.integers(0, 130), max_size=12))
+    content, layout_of = _round_trip_fields(data, widths)
+    fill = -len(content) % 8
+    if fill:
+        with pytest.raises(MalformedCertificate, match="trailing garbage after payload"):
+            _read_fields(Bits.from01(content + "1".rjust(fill, "0")), layout_of)
 
 
 def test_bits_value_semantics():
