@@ -60,13 +60,11 @@ from .harness import (
     run_all_nodes,
 )
 from .hashing import (
-    HashFamilySpec,
     HashIndex,
     PerfectHashSearch,
     eval_hash,
     family_size,
     find_perfect_hash,
-    is_perfect,
     perfect_hash_search,
 )
 from .oracle import (

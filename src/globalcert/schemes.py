@@ -62,6 +62,7 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import ClassVar
 
+from . import hashing
 from .bits import Bits, gamma_len
 from .errors import (
     BitmapTooLarge,
@@ -70,7 +71,7 @@ from .errors import (
     NotSatisfiable,
 )
 from .graphs import Graph, IdAssignment, IdRangePolicy, LocalView, TargetGraph
-from .hashing import HashFamilySpec, eval_hash, perfect_hash_search
+from .hashing import eval_hash, perfect_hash_search
 
 BITMAP_MAX_RANGE = 1 << 26
 
@@ -144,12 +145,12 @@ class HashFramework:
         """ceil(lambda n), in integers."""
         return -(-self.range_multiplier.numerator * n // self.range_multiplier.denominator)
 
-    def family(self, n: int) -> HashFamilySpec:
-        """The family of a claim of n: ceil(lambda n) buckets over M(n)
-        identifiers. Raises InvalidParams where M(n) is undefined or there
-        are more buckets than identifiers."""
-        id_range = self.id_policy.evaluate(n)
-        return HashFamilySpec.for_params(self.bucket_count(n), id_range)
+    def family(self, n: int) -> int:
+        """The size of the family of a claim of n: ceil(lambda n) buckets
+        over M(n) identifiers. Raises InvalidParams where M(n) is undefined,
+        there are more buckets than identifiers, or more than the family
+        size's cap."""
+        return hashing.family_size(self.bucket_count(n), self.id_policy.evaluate(n))
 
 
 @dataclass(frozen=True)
@@ -202,18 +203,23 @@ def _hash_layout(n: int, params: HashFramework, payload_bits: int | None = None)
     """HASH: a member index below family_size, then ceil(lambda n) entries
     below the domain size. Given a payload's length, it first refuses a
     claim the payload cannot hold, before family_size, whose cost grows
-    with k and which stops converging between k = 20000 and k = 40000."""
+    with k up to about half a second at its cap of 20000 buckets."""
     buckets = params.bucket_count(n)
     # a claim n >= 2 needs M >= 2, so its family for k buckets has at least
     # e^k members: the index takes over 1.4426 k bits, the entries k * width
     if payload_bits is not None and n > 1 and \
             buckets * (14426 + 10000 * params.value_width) > 10000 * (payload_bits - gamma_len(n)):
         raise MalformedCertificate("claimed n larger than the payload allows")
-    return _Layout(n, (params.family(n).size,), (params.domain_size,), buckets)
+    return _Layout(n, (params.family(n),), (params.domain_size,), buckets)
 
 
-def _idlist_layout(n: int, params: SchemeParams) -> _Layout:
-    """IDLIST: n records, each an identifier below M(n) and a color below n'."""
+def _idlist_layout(n: int, params: SchemeParams, payload_bits: int | None = None) -> _Layout:
+    """IDLIST: n records, each an identifier below M(n) and a color below n'.
+    Given a payload's length, it first refuses a claim of more records than
+    the payload has bits (for n >= 2, M(n) >= 2 and a record holds an
+    identifier bit), before M(n), whose refusal would write n in decimal."""
+    if payload_bits is not None and n > payload_bits:
+        raise MalformedCertificate("claimed n larger than the payload allows")
     return _Layout(n, (), (params.id_policy.evaluate(n), params.domain_size), n)
 
 
@@ -353,7 +359,7 @@ def encode_idlist_certificate(decoded: IdListCertificate, params: SchemeParams) 
 
 
 def decode_idlist_payload(payload: Bits, params: SchemeParams) -> IdListCertificate:
-    _, fields = _read_fields(payload, lambda n: _idlist_layout(n, params))
+    _, fields = _read_fields(payload, functools.partial(_idlist_layout, params=params, payload_bits=payload.length))
     return IdListCertificate(tuple(zip(fields[::2], fields[1::2])))
 
 

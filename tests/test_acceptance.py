@@ -30,7 +30,6 @@ from globalcert import (
     family_size,
     graph_to_csp,
     is_bipartite,
-    is_perfect,
     local_view,
     perfect_hash_search,
     prove_and_run,
@@ -169,7 +168,7 @@ def test_criterion_5_hash_family_properties():
         assert len({eval_hash(result.index, x, k) for x in keys}) == k
         if k <= 6:
             for j in range(result.index):
-                assert not is_perfect(j, keys, k)
+                assert len({eval_hash(j, x, k) for x in keys}) < k
         checked += 1
 
     golden_lines = GOLDEN.read_text().strip().splitlines()

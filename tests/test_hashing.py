@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -8,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import globalcert.hashing as hashing
 from globalcert import (
-    HashFamilySpec,
+    HashIndex,
     InvalidParams,
     NoPerfectHash,
+    PerfectHashSearch,
     eval_hash,
     family_size,
     find_perfect_hash,
-    is_perfect,
     perfect_hash_search,
 )
 
@@ -40,18 +42,15 @@ FROZEN_SIZES = {
 
 
 def oracle_family_size(k, ell):
-    """Independent evaluation at fixed high precision (plain mpf context,
-    not the interval arithmetic the implementation uses)."""
+    """Independent evaluation in mpmath floating point, with at least 50
+    decimal digits beyond the integer digits of k * e^k * log2 ell (not the
+    integer bounds the implementation uses)."""
     if ell == 1:
         return 1
-    old = mpmath.mp.dps
-    try:
-        mpmath.mp.dps = 160
+    with mpmath.workdps(60 + k // 2):
         value = mpmath.mpf(k) * mpmath.exp(k) * mpmath.log(ell, 2)
         floor = int(value)
         return floor if value == floor else floor + 1
-    finally:
-        mpmath.mp.dps = old
 
 
 class TestFamilySize:
@@ -61,11 +60,13 @@ class TestFamilySize:
 
     def test_agrees_with_independent_oracle_on_grid(self):
         rng = random.Random(2)
-        cases = [(k, ell) for k in (1, 2, 3, 5, 9, 16, 33, 64) for ell in (None,)]
-        for k, _ in cases:
-            for _ in range(4):
-                ell = rng.randrange(k, 1 << rng.randrange(k.bit_length() + 1, 129))
-                assert family_size(k, ell) == oracle_family_size(k, ell)
+        for k in (1, 2, 3, 5, 9, 16, 33, 64, 100, 300, 1000):
+            ells = [k, k + 1, (1 << 128) - 1, 3 * k + 1]
+            ells += [rng.randrange(k, 1 << rng.randrange(k.bit_length() + 1, 129)) for _ in range(4)]
+            for ell in ells:
+                assert family_size(k, ell) == oracle_family_size(k, ell), (k, ell)
+        cap = hashing.MAX_FAMILY_K
+        assert family_size(cap, cap**2) == oracle_family_size(cap, cap**2)
 
     def test_degenerate_domain(self):
         assert family_size(1, 1) == 1
@@ -86,22 +87,32 @@ class TestFamilySize:
                 if k > 1:
                     assert here >= family_size(k - 1, ell)
 
-    def test_spec_helper(self):
-        spec = HashFamilySpec.for_params(2, 4)
-        assert spec.size == 30
-        assert spec.index_width == 5
-        assert HashFamilySpec.for_params(1, 1).index_width == 0
+    def test_a_k_above_the_cap_is_refused_before_any_arithmetic(self, monkeypatch):
+        def no_arithmetic(*args):
+            raise AssertionError("bounds computed for a k above the cap")
 
-    def test_a_size_that_does_not_converge_is_tried_once(self, monkeypatch):
-        # lru_cache keeps no raised error; the failed (k, ell) is kept instead
-        monkeypatch.setattr(hashing, "_UNRESOLVED", set())
-        endpoints = []
-        ceil_exact = hashing._ceil_exact
-        monkeypatch.setattr(hashing, "_ceil_exact", lambda x: endpoints.append(x) or ceil_exact(x))
-        for _ in range(3):
-            with pytest.raises(InvalidParams, match="did not converge"):
-                family_size(40_000, 40_000**2)
-        assert len(endpoints) == 16  # eight precisions, two endpoints, first call only
+        for helper in ("_e_bounds", "_atanh_bounds", "_log2_bounds", "_power_bound"):
+            monkeypatch.setattr(hashing, helper, no_arithmetic)
+        cap = hashing.MAX_FAMILY_K
+        for k, ell in ((cap + 1, (cap + 1) ** 2), (40_000, 40_000**2), (10**9, 1 << 128)):
+            with pytest.raises(InvalidParams, match="above the cap"):
+                family_size(k, ell)
+
+    def test_sizes_without_mpmath(self):
+        # the package has no runtime dependency: with mpmath unimportable it
+        # still sizes the family and accepts an honest hash certificate
+        script = """
+import sys
+sys.modules["mpmath"] = None
+from globalcert import (IdRangePolicy, SchemeParams, SchemeTag, clique, cycle, family_size,
+                        prove_and_run, random_id_assignment)
+assert family_size(12, 20736) == 28006552
+params = SchemeParams(clique(2), IdRangePolicy.poly(2))
+_, result = prove_and_run(cycle(6), random_id_assignment(6, 36, 1), SchemeTag.HASH, params)
+assert result.all_accept, result.decisions
+"""
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=60,
+                       cwd=Path(__file__).parents[1] / "src")
 
 
 # --- independent mixer implementation on numpy uint64 words -----------------
@@ -180,7 +191,7 @@ class TestPerfectHashSearch:
             keys = set(rng.sample(range(8), 3))
             index = find_perfect_hash(keys, 3, 8)
             assert index < 181
-            assert is_perfect(index, keys, 3)
+            assert len({eval_hash(index, x, 3) for x in keys}) == 3
 
     def test_minimality_by_full_prefix_scan(self):
         rng = random.Random(31)
@@ -193,7 +204,7 @@ class TestPerfectHashSearch:
             result = perfect_hash_search(keys, k, ell)
             assert result.probes == result.index + 1
             for j in range(result.index)[:5000]:
-                assert not is_perfect(j, keys, k)
+                assert len({eval_hash(j, x, k) for x in keys}) < k
 
     def test_randomized_injectivity(self):
         rng = random.Random(8)
@@ -224,12 +235,21 @@ class TestPerfectHashSearch:
 
 
 class TestIsPerfect:
-    def test_singleton_always(self):
-        assert is_perfect(3, {5}, 1)
+    """A member is perfect on a key set when eval_hash is injective on it."""
 
-    def test_pigeonhole(self):
-        assert not is_perfect(0, {0, 1, 2}, 2)
+    def test_singleton_always(self):
+        # every member is injective on one key, so every scan stops at index 0
+        for k, ell in ((1, 8), (3, 8), (9, 1 << 40)):
+            assert perfect_hash_search({5}, k, ell) == PerfectHashSearch(HashIndex(0), 1)
+
+    def test_pigeonhole(self, monkeypatch):
+        # no member puts k + 1 keys in k buckets: refused before the family
+        # is sized or scanned
+        monkeypatch.setattr(hashing, "family_size", None)
+        with pytest.raises(InvalidParams, match="more keys than buckets"):
+            perfect_hash_search({0, 1, 2}, 2, 8)
 
     def test_found_index_is_perfect(self):
         keys = {3, 77, 1024}
-        assert is_perfect(find_perfect_hash(keys, 3, 2**20), keys, 3)
+        index = find_perfect_hash(keys, 3, 2**20)
+        assert sorted(eval_hash(index, x, 3) for x in keys) == [0, 1, 2]

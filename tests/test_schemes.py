@@ -47,7 +47,7 @@ from globalcert import (
 )
 from globalcert.bits import gamma_len
 from globalcert.csp import edge_relation
-from globalcert.hashing import HashFamilySpec
+from globalcert.hashing import MAX_FAMILY_K, family_size
 from globalcert.schemes import (
     _bitmap_colors,
     _Layout,
@@ -313,7 +313,7 @@ class TestHashFramework:
                     with pytest.raises(InvalidParams):
                         p.family(n)
                 continue
-            expected = HashFamilySpec.for_params(buckets, policy.evaluate(n))
+            expected = family_size(buckets, policy.evaluate(n))
             assert graph_params.family(n) == csp_params.family(n) == expected
 
     def test_more_buckets_than_identifiers_refused_everywhere(self):
@@ -523,7 +523,7 @@ class TestFieldCodec:
             assume(k <= id_range)
             params = (SchemeParams(clique(domain), policy, multiplier) if kind == "hash"
                       else CspParams(domain, policy, multiplier))
-            bounds, size = [HashFamilySpec.for_params(k, id_range).size] + [domain] * k, hash_payload_bits
+            bounds, size = [family_size(k, id_range)] + [domain] * k, hash_payload_bits
         widths = [(bound - 1).bit_length() for bound in bounds]
 
         def raw(fields):
@@ -654,6 +654,29 @@ class TestVerifierTotality:
                 decision = verifier(view_of(graph, ids, 0, Certificate(SchemeTag.HASH, bits)), params)
                 assert decision in (True, False)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        policy=st.sampled_from(["fixed:1", "fixed:16", "poly:2", "doubexp"]),
+        claim_bits=st.integers(1, 20_000),
+        data=st.data(),
+    )
+    def test_a_claim_the_payload_cannot_hold_rejects_everywhere(self, policy, claim_bits, data):
+        # gamma(n), n drawn log-uniformly below 2^20000, then fewer bits than
+        # n: every hash, id-list and CSP layout of n holds at least n bits
+        n = data.draw(st.integers(1 << (claim_bits - 1), (1 << claim_bits) - 1))
+        tail = data.draw(st.text("01", max_size=min(n - 1, 64)))
+        payload = Bits.from01(format(n, "b").zfill(2 * claim_bits - 1) + tail)
+        policy = IdRangePolicy.parse(policy)
+        graph, ids = cycle(6), random_id_assignment(6, 16, 1)
+        params, csp_params = SchemeParams(K2, policy), CspParams(2, policy)
+        for decode in (decode_hash_payload, decode_idlist_payload, decode_assignment_fields):
+            with pytest.raises(MalformedCertificate):
+                decode(payload, csp_params if decode is decode_assignment_fields else params)
+        for tag in (SchemeTag.HASH, SchemeTag.IDLIST):
+            assert run_all_nodes(graph, ids, Certificate(tag, payload), params).decisions == (False,) * 6
+        instance = graph_to_csp(graph, ids, K2)
+        assert not any(verify_csp_variable(csp_view(instance, v, payload), csp_params) for v in range(6))
+
     def test_a_megabyte_of_zeros_is_rejected_at_once(self):
         # no gamma code ends in an all-zero payload; finding that must not
         # cost one step per bit
@@ -681,8 +704,9 @@ class TestVerifierTotality:
     @pytest.mark.parametrize("claim, length", [(100_000, 100_097), (40_000, 60_000), (40_000, 100_000)])
     def test_claims_beyond_the_family_size_reject_everywhere(self, claim, length):
         # gamma(claim) then zeros: the first two payloads are too short for
-        # the claim's member index; the third is long enough, and
-        # family_size(40000, 40000^2) does not converge
+        # the claim's member index; the third is long enough, and 40000
+        # buckets are above the family size's cap
+        assert MAX_FAMILY_K < 40_000
         payload = Bits.from01(format(claim, "b").zfill(2 * claim.bit_length() - 1).ljust(length, "0"))
         policy = IdRangePolicy.poly(2)
         graph, ids = cycle(6), random_id_assignment(6, 36, 1)
