@@ -74,7 +74,6 @@ from .oracle import (
     audit_soundness,
     exists_homomorphism,
     find_homomorphism,
-    is_bipartite,
 )
 from .schemes import (
     BitmapCertificate,

@@ -1,14 +1,13 @@
-"""Ground truth by brute force: homomorphism search, bipartiteness, and
-exhaustive audits that count a scheme's whole certificate space to check
-the certification equivalence (a certificate accepted everywhere exists iff
-the property holds): rather than visiting each certificate, an audit solves
-the quotient on the positions (buckets or identifiers) the variables read,
-and ranks its first solution in canonical order.
+"""Ground truth by brute force: homomorphism search and exhaustive audits
+that count a scheme's whole certificate space to check the certification
+equivalence (a certificate accepted everywhere exists iff the property
+holds): rather than visiting each certificate, an audit solves the quotient
+on the positions (buckets or identifiers) the variables read, and ranks its
+first solution in canonical order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .csp import CspInstance, CspParams, backtrack, edge_relation, solve_csp, solve_scopes
@@ -49,26 +48,6 @@ def find_homomorphism(
 
 def exists_homomorphism(graph: Graph, target: TargetGraph) -> bool:
     return find_homomorphism(graph, target) is not None
-
-
-def is_bipartite(graph: Graph) -> bool:
-    """Breadth-first 2-coloring per component; agrees with
-    exists_homomorphism(graph, K2) by definition."""
-    color = [-1] * graph.vertex_count
-    for start in range(graph.vertex_count):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from globalcert import (
     exists_homomorphism,
     family_size,
     graph_to_csp,
-    is_bipartite,
     local_view,
     perfect_hash_search,
     prove_and_run,
@@ -44,6 +43,7 @@ from globalcert import (
 from globalcert.harness import BenchSpec, bench_sizes
 from globalcert.schemes import HashCertificate, encode_certificate
 
+from bipartite import is_bipartite
 from labeled_graphs import all_labeled_graphs
 from test_hashing import np_eval_hash, GOLDEN
 

@@ -381,21 +381,26 @@ class TestSharedLookup:
 
 class TestProbeStatistics:
     def test_probes_follow_the_expected_search_cost(self):
-        # candidate indices probed stay under 20 * e^k / sqrt(2 pi k) in at
-        # least 99% of seeded runs
-        for k in (4, 6, 8):
-            bound = 20 * math.exp(k) / math.sqrt(2 * math.pi * k)
-            policy = IdRangePolicy.poly(4)
-            params = SchemeParams(target=K2, id_policy=policy)
-            over = 0
-            runs = 100
-            for seed in range(runs):
-                g = random_h_colorable_graph(k, K2, 0.5, seed)
-                ids = random_id_assignment(k, policy.evaluate(k), seed + 1000)
-                _, result = prove_and_run(g, ids, SchemeTag.HASH, params)
-                if result.prover_probes >= bound:
-                    over += 1
-            assert over <= runs // 100
+        # a member is perfect on n identifiers in k = ceil(lambda n) buckets
+        # with chance k!/((k-n)! k^n), so the scan's expected cost is its
+        # inverse (about e^k / sqrt(2 pi k) at lambda = 1); candidate
+        # indices probed stay under 20 times that in at least 99% of
+        # seeded runs
+        policy = IdRangePolicy.poly(4)
+        for multiplier in (Fraction(1), Fraction(3, 2), Fraction(2)):
+            params = SchemeParams(target=K2, id_policy=policy, range_multiplier=multiplier)
+            for n in (4, 6, 8):
+                k = params.bucket_count(n)
+                bound = 20 * k**n * math.factorial(k - n) / math.factorial(k)
+                over = 0
+                runs = 100
+                for seed in range(runs):
+                    g = random_h_colorable_graph(n, K2, 0.5, seed)
+                    ids = random_id_assignment(n, policy.evaluate(n), seed + 1000)
+                    _, result = prove_and_run(g, ids, SchemeTag.HASH, params)
+                    if result.prover_probes >= bound:
+                        over += 1
+                assert over <= runs // 100, (multiplier, n)
 
 
 class TestBench:

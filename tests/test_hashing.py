@@ -1,12 +1,14 @@
+import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import globalcert.hashing as hashing
 from globalcert import (
@@ -174,6 +176,63 @@ class TestMixer:
         assert 0 <= eval_hash(index, x, k) < k
 
 
+def scalar_scan(keys, k, ell):
+    """The member-by-member scan, one key at a time with a bucket bitmask:
+    the independent oracle for perfect_hash_search's block scan. None when
+    no member of the family is injective on the keys."""
+    mixed = [hashing._mix_input(x) for x in sorted(keys)]
+    for index in range(family_size(k, ell)):
+        salt = hashing._fin(index)
+        seen = 0
+        for m in mixed:
+            bucket = 1 << (hashing._fin(m ^ salt) % k)
+            if seen & bucket:
+                break
+            seen |= bucket
+        else:
+            return PerfectHashSearch(HashIndex(index), index + 1)
+    return None
+
+
+def block_starts(n, count):
+    """The first `count` member indices at which the block scan of n keys
+    starts a block."""
+    starts, rows = [0], hashing._FIRST_ROWS
+    most = max(rows, hashing._BLOCK_CELLS // max(1, n))
+    while len(starts) < count:
+        starts.append(starts[-1] + rows)
+        rows = min(2 * rows, most)
+    return starts
+
+
+# key sets whose smallest perfect member is the last of one block or the
+# first of the next: (keys, k, ell, index)
+BLOCK_EDGE_CASES = [
+    ((18, 39, 68), 3, 81, 31),
+    ((24, 30, 45), 3, 81, 32),
+    ((7, 24, 64, 438, 507), 5, 625, 95),
+    ((17, 46, 61, 471, 497), 5, 625, 96),
+    ((1074, 1443, 2711, 2731, 4405, 4428, 5294, 6121, 7592, 7597), 10, 10**4, 2015),
+    ((832, 1182, 2080, 2140, 2202, 4631, 4785, 5926, 8042, 8840), 10, 10**4, 2016),
+    # past the first block that the cell cap shortens
+    ((764, 2298, 3331, 3531, 4239, 5095, 5356, 5546, 9859, 9910), 10, 10**4, 3653),
+    ((474, 2933, 3104, 3794, 5789, 6220, 6236, 6322, 6774, 7399), 10, 10**4, 3654),
+]
+
+
+@st.composite
+def scan_cases(draw):
+    """(keys, k, ell) with n <= 12 keys, k = ceil(lambda n) buckets for
+    lambda in {1, 3/2, 2}, and a domain of up to 2^128 identifiers."""
+    n = draw(st.integers(0, 12))
+    multiplier = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)]))
+    k = max(1, math.ceil(multiplier * n))
+    bits = draw(st.integers(max(k, 2).bit_length(), 128))
+    ell = draw(st.integers(max(k, 2), 1 << bits))
+    keys = draw(st.sets(st.integers(0, ell - 1), min_size=n, max_size=n))
+    return frozenset(keys), k, ell
+
+
 class TestPerfectHashSearch:
     def test_singleton_is_index_zero(self):
         assert find_perfect_hash({7}, 1, 100) == 0
@@ -228,10 +287,60 @@ class TestPerfectHashSearch:
             find_perfect_hash({9}, 1, 8)  # key outside the domain
 
     def test_family_exhaustion_raises(self, monkeypatch):
-        # collapse the family to constant functions: nothing separates two keys
-        monkeypatch.setattr(hashing, "_fin", lambda z: 0)
+        # shrink the family to the members before the first perfect one:
+        # the scan ends without a member and raises
+        keys, k, ell, index = BLOCK_EDGE_CASES[-1]
+        monkeypatch.setattr(hashing, "family_size", lambda k, ell: index)
         with pytest.raises(NoPerfectHash):
-            perfect_hash_search({0, 1}, 2, 4)
+            perfect_hash_search(frozenset(keys), k, ell)
+        monkeypatch.setattr(hashing, "family_size", lambda k, ell: index + 1)
+        assert perfect_hash_search(frozenset(keys), k, ell).index == index
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    @example((frozenset(), 1, 1))
+    @example((frozenset(), 4, 1 << 128))
+    @example((frozenset({(1 << 128) - 1}), 2, 1 << 128))
+    def test_block_scan_equals_the_scalar_scan(self, case):
+        assert perfect_hash_search(*case) == scalar_scan(*case)
+
+    @pytest.mark.parametrize("keys, k, ell, index", BLOCK_EDGE_CASES)
+    def test_first_member_at_a_block_edge(self, keys, k, ell, index):
+        starts = block_starts(len(keys), 12)
+        assert index in starts or index + 1 in starts
+        expected = PerfectHashSearch(HashIndex(index), index + 1)
+        assert scalar_scan(keys, k, ell) == expected
+        assert perfect_hash_search(frozenset(keys), k, ell) == expected
+
+    def test_verify_and_audit_never_import_numpy(self, tmp_path):
+        # numpy is imported by the prover's scan only: an honest hash
+        # certificate, found here member by member through eval_hash, passes
+        # the verify CLI, and the audit CLI runs, without loading it
+        script = """
+import sys
+from pathlib import Path
+import globalcert
+from globalcert import IdRangePolicy, SchemeParams, clique, eval_hash, find_homomorphism, parse_graph
+from globalcert.cli import main
+from globalcert.schemes import HashCertificate, encode_certificate
+work = Path(sys.argv[1])
+graph_file, cert_file = str(work / "g.txt"), str(work / "g.cert")
+assert main(["gen", "--n", "6", "--seed", "3", "--out", graph_file]) == 0
+graph, ids = parse_graph(Path(graph_file).read_text())
+n = graph.vertex_count
+index = next(i for i in range(10**6) if len({eval_hash(i, x, n) for x in ids.ids}) == n)
+table = [0] * n
+for x, color in zip(ids.ids, find_homomorphism(graph, clique(2))):
+    table[eval_hash(index, x, n)] = color
+params = SchemeParams(clique(2), IdRangePolicy.fixed(ids.id_range))
+Path(cert_file).write_bytes(encode_certificate(HashCertificate(n, index, tuple(table)), params).to_bytes())
+assert main(["verify", "--graph", graph_file, "--cert", cert_file]) == 0
+assert main(["gen", "--n", "3", "--seed", "1", "--id-range", "fixed:8", "--out", graph_file]) == 0
+assert main(["audit", "--graph", graph_file, "--max-n", "3"]) == 0
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)], check=True, timeout=60,
+                       capture_output=True, cwd=Path(__file__).parents[1] / "src")
 
 
 class TestIsPerfect:

@@ -22,7 +22,6 @@ from globalcert import (
     exists_homomorphism,
     find_homomorphism,
     graph_to_csp,
-    is_bipartite,
     local_view,
     random_h_colorable_graph,
     random_id_assignment,
@@ -38,6 +37,7 @@ from globalcert.schemes import (
     encode_certificate,
 )
 
+from bipartite import is_bipartite
 from labeled_graphs import all_labeled_graphs
 
 K2 = clique(2)
@@ -252,16 +252,17 @@ class TestAudit:
 
 
 def canonical_space(scheme, params, max_claim):
-    """Every decodable certificate of claims 1..max_claim under a fixed
-    policy, built through the public encoders in the audit's canonical
-    order."""
+    """Every decodable certificate of claims 1..max_claim, built through the
+    public encoders in the audit's canonical order; a bitmap spans each
+    distinct M(claim) once, ascending."""
     values = range(params.target.vertex_count)
-    id_range = params.id_policy.param
+    ranges = [(claim, params.id_policy.evaluate(claim)) for claim in range(1, max_claim + 1)]
     if scheme is SchemeTag.BITMAP:
-        for colors in itertools.product(values, repeat=id_range):
-            yield encode_certificate(BitmapCertificate(colors), params)
+        for id_range in sorted({id_range for _, id_range in ranges}):
+            for colors in itertools.product(values, repeat=id_range):
+                yield encode_certificate(BitmapCertificate(colors), params)
         return
-    for claim in range(1, max_claim + 1):
+    for claim, id_range in ranges:
         if scheme is SchemeTag.HASH:
             for index in range(family_size(claim, id_range)):
                 for colors in itertools.product(values, repeat=claim):
@@ -273,27 +274,32 @@ def canonical_space(scheme, params, max_claim):
 
 
 class TestAuditMatchesBruteForce:
-    # (graph, target, M): colorable and not, first witnesses at and past
-    # the start of the space, and 4-vertex graphs no id list of claim <= 3
-    # can cover
+    # (graph, target, policy, ids or None to draw them): colorable and not,
+    # first witnesses at and past the start of the space, 4-vertex graphs
+    # no id list of claim <= 3 can cover, and poly:2 graphs holding the id
+    # M(2) = 4, so that a node rejects every claim below 3, the largest
+    # identifier sitting exactly at M(2)
     CASES = [
-        (Graph.of(2), K3, 5),
-        (Graph.of(2, [(0, 1)]), K2, 8),
-        (Graph.of(3, [(0, 1), (1, 2)]), K2, 8),
-        (K3, K2, 5),
-        (K3, K3, 4),
-        (cycle(4), K2, 8),
-        (Graph.of(4, [(0, 1), (0, 2), (0, 3)]), K3, 5),
-        (clique(4), K3, 4),
+        (Graph.of(2), K3, IdRangePolicy.fixed(5), None),
+        (Graph.of(2, [(0, 1)]), K2, IdRangePolicy.fixed(8), None),
+        (Graph.of(3, [(0, 1), (1, 2)]), K2, IdRangePolicy.fixed(8), None),
+        (K3, K2, IdRangePolicy.fixed(5), None),
+        (K3, K3, IdRangePolicy.fixed(4), None),
+        (cycle(4), K2, IdRangePolicy.fixed(8), None),
+        (Graph.of(4, [(0, 1), (0, 2), (0, 3)]), K3, IdRangePolicy.fixed(5), None),
+        (clique(4), K3, IdRangePolicy.fixed(4), None),
+        (Graph.of(3, [(0, 1), (1, 2)]), K2, IdRangePolicy.poly(2), (4, 0, 2)),
+        (K3, K2, IdRangePolicy.poly(2), (1, 4, 3)),
     ]
 
     @pytest.mark.parametrize("scheme", list(SchemeTag), ids=lambda s: s.label)
     def test_tried_and_witness_equal_the_brute_force_scan(self, scheme):
         rng = random.Random(77)
-        for graph, target, id_range in self.CASES:
+        for graph, target, policy, chosen in self.CASES:
             n = graph.vertex_count
-            ids = IdAssignment(tuple(rng.sample(range(id_range), n)), id_range)
-            params = SchemeParams(target=target, id_policy=IdRangePolicy.fixed(id_range))
+            id_range = policy.evaluate(n)
+            ids = IdAssignment(chosen or tuple(rng.sample(range(id_range), n)), id_range)
+            params = SchemeParams(target=target, id_policy=policy)
 
             def rejecting(cert):
                 return [

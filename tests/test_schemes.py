@@ -197,6 +197,14 @@ class TestHashScheme:
         assert not verify_hash(view_of(graph, ids, 0, bad), params)
         assert not verify_hash(view_of(graph, ids, 1, bad), params)
 
+    def test_lookup_refuses_identifiers_at_or_above_m_of_the_claim(self):
+        # a claim of n = 2 under poly:2 has M = 4: the isolated node with id
+        # 8 finds no colour and rejects, while ids 0 and 1 accept
+        params = SchemeParams(target=K2, id_policy=IdRangePolicy.poly(2))
+        cert = encode_certificate(HashCertificate(2, 0, (0, 0)), params)
+        ids = IdAssignment((0, 1, 8), 9)
+        assert run_all_nodes(Graph.of(3), ids, cert, params).decisions == (True, True, False)
+
     def test_adversarial_claimed_n_is_just_data(self):
         # a certificate claiming a different n than the true one is decoded
         # and judged on its own terms
@@ -599,6 +607,14 @@ class TestIdListScheme:
         assert not verify_idlist(view_of(graph, ids, 1, cert), params)
         dup = encode_certificate(IdListCertificate(((3, 1), (3, 1))), params)
         assert not verify_idlist(view_of(graph, ids, 0, dup), params)
+
+    def test_a_repeated_identifier_rejects_everywhere(self):
+        # identifiers must ascend strictly: a list naming id 1 twice holds a
+        # proper colouring of the edge (1, 2), yet both nodes reject it
+        graph, ids = single_edge(ids=(1, 2), m=4)
+        params = params_fixed(4)
+        cert = encode_certificate(IdListCertificate(((1, 0), (1, 1), (2, 0))), params)
+        assert run_all_nodes(graph, ids, cert, params).decisions == (False, False)
 
     def test_larger_instances(self):
         policy = IdRangePolicy.poly(2)
