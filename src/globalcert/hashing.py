@@ -166,6 +166,25 @@ _FIRST_ROWS = 32
 _BLOCK_CELLS = 1 << 14
 
 
+def member_blocks(keys, k: int, size: int):
+    """Yield (start, buckets) over the members 0 .. size - 1 in blocks of
+    consecutive members: row i of the uint64 array `buckets` holds member
+    start + i's bucket of each key, in the order of `keys`. Each bucket is
+    eval_hash's, the vectorised _fin of the member's salt xor the key's
+    mixed word, mod k. numpy is imported here, on the first block."""
+    import numpy as np
+
+    u64 = np.uint64
+    mixed = np.array([_mix_input(x) for x in keys], dtype=u64)
+    most_rows = max(_FIRST_ROWS, _BLOCK_CELLS // max(1, len(mixed)))
+    start, rows = 0, _FIRST_ROWS
+    while start < size:
+        stop = min(size, start + rows)
+        salts = _fin_words(np.arange(stop - start, dtype=u64) + u64(start))
+        yield start, _fin_words(mixed ^ salts[:, None]) % u64(k)
+        start, rows = stop, min(2 * rows, most_rows)
+
+
 def perfect_hash_search(keys: frozenset[int] | set[int], k: int, ell: int) -> PerfectHashSearch:
     """Scan indices 0, 1, 2, ... for the smallest member injective on `keys`.
 
@@ -173,11 +192,9 @@ def perfect_hash_search(keys: frozenset[int] | set[int], k: int, ell: int) -> Pe
     if the whole family is exhausted (never observed in practice; the family
     size leaves room for ~e^k misses).
 
-    The scan tests a block of consecutive members at a time in numpy: row i
-    holds member start + i's buckets of the keys, and the first row whose
-    sorted buckets are pairwise distinct wins. numpy is imported here,
-    on the first scan, so importing the package, verifying and auditing
-    never load it.
+    The scan tests the blocks of member_blocks in turn, and the first row
+    whose sorted buckets are pairwise distinct wins. numpy is imported on
+    the first block, so importing the package and verifying never load it.
     """
     if len(keys) > k:
         raise InvalidParams("more keys than buckets; no injective member exists")
@@ -186,22 +203,12 @@ def perfect_hash_search(keys: frozenset[int] | set[int], k: int, ell: int) -> Pe
     for x in keys:
         if not 0 <= x < ell:
             raise InvalidParams(f"key {x} outside the family domain [0, {ell})")
-    size = family_size(k, ell)
-    import numpy as np
-
-    u64 = np.uint64
-    mixed = np.array([_mix_input(x) for x in keys], dtype=u64)
-    most_rows = max(_FIRST_ROWS, _BLOCK_CELLS // max(1, len(keys)))
-    start, rows = 0, _FIRST_ROWS
-    while start < size:
-        stop = min(size, start + rows)
-        salts = _fin_words(np.arange(stop - start, dtype=u64) + u64(start))
-        buckets = np.sort(_fin_words(mixed ^ salts[:, None]) % u64(k), axis=1)
-        hits = np.flatnonzero((buckets[:, 1:] != buckets[:, :-1]).all(axis=1))
-        if hits.size:
-            index = start + int(hits[0])
+    for start, buckets in member_blocks(keys, k, family_size(k, ell)):
+        buckets.sort(axis=1)
+        distinct = (buckets[:, 1:] != buckets[:, :-1]).all(axis=1)
+        if distinct.any():
+            index = start + int(distinct.argmax())
             return PerfectHashSearch(index=HashIndex(index), probes=index + 1)
-        start, rows = stop, min(2 * rows, most_rows)
     raise NoPerfectHash(f"no member of the ({k}, {ell}) family is injective on the keys")
 
 

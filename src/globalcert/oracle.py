@@ -4,6 +4,12 @@ equivalence (a certificate accepted everywhere exists iff the property
 holds): rather than visiting each certificate, an audit solves the quotient
 on the positions (buckets or identifiers) the variables read, and ranks its
 first solution in canonical order.
+
+The hash and bitmap audits read those positions a block of members at a
+time, the hash audit through the prover's kernel `hashing.member_blocks`,
+and solve once per position pattern new to the block and not already known
+unsolvable. numpy is imported at the first block, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from .csp import CspInstance, CspParams, backtrack, edge_relation, solve_csp, solve_scopes
 from .errors import InvalidParams, TooLarge
 from .graphs import Graph, IdAssignment, TargetGraph, local_view
-from .hashing import _fin, _mix_input, family_size
+from .hashing import family_size, member_blocks
 from .schemes import Certificate, HashCertificate, HashFramework, SchemeParams, SchemeTag
 from .schemes import encode_hash_certificate, verify_certificate
 from .schemes import encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
@@ -118,15 +124,18 @@ def _first_accepted(positions, n_values, scopes, relations):
 
 
 def _scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
-    """First accepted certificate in canonical order over the blocks
+    """First accepted certificate in canonical order over the spaces
     (claim, id_range, width, members) that `rows` yields: each member holds
-    n_values**width entry vectors, variable v reads position read(member,
-    width)[v], and make(claim, member, vector) is the certificate. Raises
+    n_values**width entry vectors, and read(members, width) yields (start,
+    positions) arrays, variable v of member start + i reading position
+    positions[i, v]; make(claim, member, vector) is the certificate. Raises
     TooLarge, before solving, at the first claim past max_space. A member
-    whose pattern is known unsolvable is counted whole, as is a block some
+    whose pattern is known unsolvable is counted whole, as is a space some
     identifier lies at or above (every node rejects it). Returns the
     accepted certificate or None, the count tried, and the canonically
     first certificate (None for an empty space)."""
+    import numpy as np
+
     n_values = params.domain_size
     plan = []
     space = 0
@@ -150,18 +159,29 @@ def _scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
         if any(i >= id_range for i in variable_ids):
             tried += members * entry_space
             continue
-        for member in range(members):
-            positions = read(member, width)
-            pattern = tuple(map(positions.index, positions))
-            if pattern not in unsolvable:
-                entries = _first_accepted(positions, n_values, scopes, relations)
+        for start, positions in read(members, width):
+            positions = np.asarray(positions, dtype=np.intp)
+            # rows x width x n cells, where a pairwise test needs rows x n x n
+            at = positions[:, None, :] == np.arange(width)[:, None]
+            patterns = np.take_along_axis(at.argmax(axis=2), positions, axis=1)
+            # each distinct pattern's first row: a stable sort keeps equal
+            # patterns in row order
+            order = np.lexsort(patterns.T[::-1])
+            ordered = patterns[order]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+            for row in np.sort(order[first]).tolist():
+                pattern = patterns[row].tobytes()
+                if pattern in unsolvable:
+                    continue
+                entries = _first_accepted(positions[row].tolist(), n_values, scopes, relations)
                 if entries is not None:
                     # the vector's rank in itertools.product order
                     rank = sum(v * n_values ** (width - 1 - p) for p, v in entries.items())
                     colors = tuple(entries.get(p, 0) for p in range(width))
-                    return make(claim, member, colors), tried + rank + 1, None
+                    return make(claim, start + row, colors), tried + row * entry_space + rank + 1, None
                 unsolvable.add(pattern)
-            tried += entry_space
+            tried += len(positions) * entry_space
     if not plan:
         return None, tried, None
     return None, tried, make(plan[0][0], 0, (0,) * plan[0][2])
@@ -171,11 +191,9 @@ def _hash_space(params: HashFramework, bounds, variable_ids, scopes, relations):
     """First accepted hash certificate (claim, index, entries): one block
     per claim whose buckets fit below M(claim), holding every family member,
     in which variable v reads the bucket its identifier hashes to."""
-    mixed = [_mix_input(i) for i in variable_ids]
 
-    def read(index, buckets):
-        salt = _fin(index)
-        return [_fin(m ^ salt) % buckets for m in mixed]
+    def read(members, buckets):
+        return member_blocks(variable_ids, buckets, members)
 
     def make(claim, index, colors):
         return encode_hash_certificate(HashCertificate(claim, index, colors), params)
@@ -284,7 +302,7 @@ def _bitmap_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
                 yield claim, id_range, id_range, 1
             last = id_range
 
-    return _scan(params, bounds, rows(), lambda member, width: vertex_ids, make, vertex_ids, edges, relations)
+    return _scan(params, bounds, rows(), lambda members, width: [(0, [vertex_ids])], make, vertex_ids, edges, relations)
 
 
 _SPACES = {

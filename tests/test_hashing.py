@@ -312,10 +312,10 @@ class TestPerfectHashSearch:
         assert scalar_scan(keys, k, ell) == expected
         assert perfect_hash_search(frozenset(keys), k, ell) == expected
 
-    def test_verify_and_audit_never_import_numpy(self, tmp_path):
-        # numpy is imported by the prover's scan only: an honest hash
-        # certificate, found here member by member through eval_hash, passes
-        # the verify CLI, and the audit CLI runs, without loading it
+    def test_import_and_verify_never_import_numpy(self, tmp_path):
+        # numpy is imported by the hash kernel only, which the prover and the
+        # audits run: an honest hash certificate, found here member by member
+        # through eval_hash, passes the verify CLI without loading it
         script = """
 import sys
 from pathlib import Path
@@ -335,8 +335,6 @@ for x, color in zip(ids.ids, find_homomorphism(graph, clique(2))):
 params = SchemeParams(clique(2), IdRangePolicy.fixed(ids.id_range))
 Path(cert_file).write_bytes(encode_certificate(HashCertificate(n, index, tuple(table)), params).to_bytes())
 assert main(["verify", "--graph", graph_file, "--cert", cert_file]) == 0
-assert main(["gen", "--n", "3", "--seed", "1", "--id-range", "fixed:8", "--out", graph_file]) == 0
-assert main(["audit", "--graph", graph_file, "--max-n", "3"]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 """
         subprocess.run([sys.executable, "-c", script, str(tmp_path)], check=True, timeout=60,

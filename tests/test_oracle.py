@@ -1,8 +1,14 @@
 import itertools
 import random
 import time
+from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import globalcert.hashing as hashing
+import globalcert.oracle as oracle
 
 from globalcert import (
     AuditBounds,
@@ -28,7 +34,7 @@ from globalcert import (
     run_all_nodes,
     verify_certificate,
 )
-from globalcert.hashing import family_size
+from globalcert.hashing import family_size, member_blocks
 from globalcert.schemes import (
     BitmapCertificate,
     HashCertificate,
@@ -38,7 +44,7 @@ from globalcert.schemes import (
 )
 
 from bipartite import is_bipartite
-from labeled_graphs import all_labeled_graphs
+from labeled_graphs import all_labeled_graphs, isomorphism_classes
 
 K2 = clique(2)
 K3 = clique(3)
@@ -148,8 +154,6 @@ class TestAudit:
     def test_bitmap_ranges_share_one_unsolvable_quotient(self, monkeypatch):
         # K4 -> K3 has no coloring; ranges 4, 5 and 6 each hold every
         # identifier, and all three read the same identifier quotient
-        import globalcert.oracle as oracle
-
         solved = []
         solve = oracle.solve_scopes
         monkeypatch.setattr(oracle, "solve_scopes", lambda *args: solved.append(args) or solve(*args))
@@ -189,8 +193,6 @@ class TestAudit:
         # M = 10^6 for every claim up to 10^6: the space passes 10^7 at
         # `over_at` (hash: sum of family_size(k, 10^6) * 2^k), and no claim
         # after it is sized
-        import globalcert.oracle as oracle
-
         sized = []
         monkeypatch.setattr(oracle, "family_size", lambda k, ell: sized.append(k) or family_size(k, ell))
         params = SchemeParams(K2, IdRangePolicy.fixed(10**6))
@@ -322,16 +324,168 @@ class TestAuditMatchesBruteForce:
             assert report.witness == witness
 
 
+def reference_scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
+    """oracle._scan one member at a time, the oracle for its block scan:
+    variable v of `member` reads read(member, width)[v], and a member's
+    pattern maps each variable to the first variable at its position."""
+    n_values = params.domain_size
+    plan = []
+    space = 0
+    for claim, id_range, width, members in rows:
+        if n_values > 1 and width > bounds.max_space.bit_length():
+            raise oracle._too_large(bounds, claim)
+        space += members * n_values**width
+        if space > bounds.max_space:
+            raise oracle._too_large(bounds, claim)
+        plan.append((claim, id_range, width, members))
+    unsolvable = set()
+    tried = 0
+    for claim, id_range, width, members in plan:
+        entry_space = n_values**width
+        if any(i >= id_range for i in variable_ids):
+            tried += members * entry_space
+            continue
+        for member in range(members):
+            positions = read(member, width)
+            pattern = tuple(map(positions.index, positions))
+            if pattern not in unsolvable:
+                entries = oracle._first_accepted(positions, n_values, scopes, relations)
+                if entries is not None:
+                    rank = sum(v * n_values ** (width - 1 - p) for p, v in entries.items())
+                    colors = tuple(entries.get(p, 0) for p in range(width))
+                    return make(claim, member, colors), tried + rank + 1, None
+                unsolvable.add(pattern)
+            tried += entry_space
+    if not plan:
+        return None, tried, None
+    return None, tried, make(plan[0][0], 0, (0,) * plan[0][2])
+
+
+def reference_hash_space(params, bounds, variable_ids, scopes, relations):
+    """oracle._hash_space with each member's buckets from the scalar mixer."""
+    mixed = [hashing._mix_input(i) for i in variable_ids]
+
+    def read(index, buckets):
+        salt = hashing._fin(index)
+        return [hashing._fin(m ^ salt) % buckets for m in mixed]
+
+    def make(claim, index, colors):
+        return oracle.encode_hash_certificate(HashCertificate(claim, index, colors), params)
+
+    def rows():
+        for claim, id_range in oracle._claims(params.id_policy, bounds):
+            buckets = params.bucket_count(claim)
+            if buckets <= id_range:
+                yield claim, id_range, buckets, oracle.family_size(buckets, id_range)
+
+    return reference_scan(params, bounds, rows(), read, make, variable_ids, scopes, relations)
+
+
+def bitmap_reference_scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
+    # a bitmap member's positions are the identifiers themselves
+    return reference_scan(
+        params, bounds, rows, lambda member, width: list(variable_ids), make, variable_ids, scopes, relations
+    )
+
+
+def solved_audit(audit):
+    """audit()'s report, or its TooLarge text, and every solve_scopes call
+    it made, in order."""
+    calls = []
+    solve = oracle.solve_scopes
+    with mock.patch.object(oracle, "solve_scopes", lambda *args: calls.append(args) or solve(*args)):
+        try:
+            outcome = audit()
+        except TooLarge as error:
+            outcome = str(error)
+    return outcome, calls
+
+
+def member_by_member(audit):
+    """solved_audit with the hash and bitmap spaces on the reference scan."""
+    with (
+        mock.patch.object(oracle, "_hash_space", reference_hash_space),
+        mock.patch.dict(oracle._SPACES, {SchemeTag.HASH: reference_hash_space}),
+        mock.patch.object(oracle, "_scan", bitmap_reference_scan),
+    ):
+        return solved_audit(audit)
+
+
+@st.composite
+def audits(draw):
+    """A hash, bitmap or CSP audit of a 1-5 vertex graph into K2, K3 or C5,
+    under fixed, poly:1 or poly:2 identifiers, lambda 1 or 3/2, claims up to
+    5, and a space bound that some audits pass."""
+    n = draw(st.integers(1, 5))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = Graph.of(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    target = draw(st.sampled_from([K2, K3, cycle(5)]))
+    policy = IdRangePolicy.parse(draw(st.sampled_from(["fixed:5", "fixed:8", "fixed:16", "poly:1", "poly:2"])))
+    id_range = policy.evaluate(n)
+    ids = IdAssignment(tuple(draw(st.permutations(range(id_range)))[:n]), id_range)
+    multiplier = draw(st.sampled_from([Fraction(1), Fraction(3, 2)]))
+    bounds = AuditBounds(draw(st.integers(1, 5)), draw(st.sampled_from([10**4, 10**6, 10**8])))
+    kind = draw(st.sampled_from(["hash", "bitmap", "csp"]))
+    if kind == "csp":
+        cparams = CspParams(target.vertex_count, policy, multiplier)
+        return lambda: audit_csp_soundness(graph_to_csp(graph, ids, target), cparams, bounds)
+    params = SchemeParams(target, policy, multiplier)
+    return lambda: audit_soundness(graph, ids, SchemeTag[kind.upper()], params, bounds)
+
+
+# a 7-vertex path into K2 at claims 1 and 2 under fixed:2^20: claim 1's 55
+# members are all unsolvable, and the seed's identifiers make claim 2's
+# first solvable member the last of one block or the first of the next
+BLOCK_EDGE_SEEDS = [(413, 31), (217, 32), (434, 95), (9, 96)]
+
+
+class TestBlockScan:
+    @settings(max_examples=120, deadline=None)
+    @given(audits())
+    def test_equals_the_member_by_member_scan(self, audit):
+        assert solved_audit(audit) == member_by_member(audit)
+
+    @pytest.mark.parametrize("seed, member", BLOCK_EDGE_SEEDS)
+    def test_first_solvable_member_at_a_block_edge(self, seed, member):
+        path = Graph.of(7, [(v, v + 1) for v in range(6)])
+        ids = random_id_assignment(7, 2**20, seed)
+        params = SchemeParams(K2, IdRangePolicy.fixed(2**20))
+        starts = [start for start, _ in member_blocks(ids.ids, 2, family_size(2, 2**20))]
+        assert member in starts or member + 1 in starts
+
+        def audit():
+            return audit_soundness(path, ids, SchemeTag.HASH, params, AuditBounds(max_claimed_n=2))
+
+        outcome, calls = solved_audit(audit)
+        assert (outcome, calls) == member_by_member(audit)
+        decoded = decode_hash_payload(outcome.witness.payload, params)
+        assert (decoded.claimed_n, decoded.hash_index) == (2, member)
+        assert outcome.certificates_tried > family_size(1, 2**20) * 2 + member * 4
+
+    def test_long_odd_cycle_counts_every_certificate(self):
+        # no member of claims 1-3 colors C_1001 with K2, so every member is
+        # visited and the whole space is counted
+        params = SchemeParams(K2, IdRangePolicy.fixed(2**20))
+        ids = random_id_assignment(1001, 2**20, 7)
+        report = audit_soundness(cycle(1001), ids, SchemeTag.HASH, params, AuditBounds(max_claimed_n=3))
+        assert not report.property_holds and not report.certificate_accepted_exists
+        assert report.certificates_tried == 10942 == sum(family_size(k, 2**20) * 2**k for k in (1, 2, 3))
+
+
 class TestWidenedAudit:
     def test_five_vertex_graphs_at_claims_up_to_six(self):
-        # verdicts match the oracle on sampled 5-vertex graphs, and an
-        # unsatisfiable hash audit counts every decodable certificate
+        # verdicts match the oracle on every 5-vertex graph up to
+        # isomorphism, an unsatisfiable hash audit counts every decodable
+        # certificate, and the CSP audit of the same instance agrees with
+        # the hash audit field by field
         rng = random.Random(2024)
-        graphs = rng.sample(list(all_labeled_graphs(5)), 40)
+        graphs = list(isomorphism_classes(5))
+        assert len(graphs) == 34
         for i, graph in enumerate(graphs):
             id_range, max_claim = ((8, 6), (16, 5))[i % 2]
+            policy = IdRangePolicy.fixed(id_range)
             for target in (K2, K3, cycle(5)):
-                params = SchemeParams(target=target, id_policy=IdRangePolicy.fixed(id_range))
+                params = SchemeParams(target=target, id_policy=policy)
                 ids = random_id_assignment(5, id_range, rng.randrange(10**6))
                 bounds = AuditBounds(max_claimed_n=max_claim, max_space=10**12)
                 truth = exists_homomorphism(graph, target)
@@ -344,6 +498,8 @@ class TestWidenedAudit:
                     )
                 bitmap = audit_soundness(graph, ids, SchemeTag.BITMAP, params, bounds)
                 assert bitmap.certificate_accepted_exists == truth
+                cparams = CspParams(domain_size=target.vertex_count, id_policy=policy)
+                assert audit_csp_soundness(graph_to_csp(graph, ids, target), cparams, bounds) == report
 
 
 class TestAuditCoversRawPayloadSpace:
@@ -398,7 +554,7 @@ class TestCspAudit:
         # certificate gives all three variables one value, so the first
         # witness lies deeper, and the ternary relation is not symmetric
         from globalcert import CspConstraint, CspInstance, csp_view, verify_csp_variable
-        from globalcert.hashing import family_size
+        from globalcert.hashing import family_size, member_blocks
         from globalcert.schemes import encode_assignment_fields
 
         policy = IdRangePolicy.fixed(8)
