@@ -7,6 +7,7 @@ indices, only identifiers, so everything a node learns flows through
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -295,12 +296,31 @@ def serialize_graph(graph: Graph, ids: IdAssignment) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the generator visits all n(n-1)/2 vertex pairs and holds every edge it
+# keeps, so a call past either cap is refused before anything is drawn
+MAX_GENERATED_PAIRS = 5 * 10**7
+MAX_EXPECTED_EDGES = 5 * 10**6
+# vertex pairs marked per chunk of rows; bounds the generator's working memory
+_CHUNK_CELLS = 1 << 18
+
+
 def random_h_colorable_graph(n: int, target: TargetGraph, density: float, seed: int) -> Graph:
     """Random graph that admits a homomorphism to `target` by construction.
 
     Each vertex gets a uniformly random target vertex; a candidate edge is
     kept with probability `density` only when its endpoint images form a
     target edge. Deterministic in `seed`.
+
+    The draws are those of one `random.Random(seed)`: the images
+    `phi = [rng.randrange(k) for _ in range(n)]`, then one `rng.random()`
+    per candidate pair (u < v) in row-major order, the pair kept when the
+    draw is below `density`. The pairs are marked in numpy a chunk of rows
+    at a time, and one `rng.getrandbits(64 m)` gives a chunk's m draws:
+    its 32-bit words, least significant first, are the generator's next
+    2m outputs, and `random()` is `((a >> 5) * 2^26 + (b >> 6)) / 2^53`
+    for each pair of them. So `draw < density * 2^53` keeps exactly the
+    pairs that the scalar loop keeps, and the edges come out in its order.
+    numpy is imported here, at call time.
     """
     if not 0 <= density <= 1:
         raise InvalidParams(f"density {density} outside [0, 1]")
@@ -308,14 +328,44 @@ def random_h_colorable_graph(n: int, target: TargetGraph, density: float, seed: 
         raise InvalidParams("target has no edges; only density 0 is satisfiable")
     if n < 1:
         raise InvalidParams("n must be positive")
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_GENERATED_PAIRS:
+        raise InvalidParams(f"n = {n} gives {pairs} vertex pairs, above the cap {MAX_GENERATED_PAIRS}")
+    if density * pairs > MAX_EXPECTED_EDGES:
+        raise InvalidParams(f"density {density} at n = {n} allows {float(density * pairs):.3g} "
+                            f"expected edges, above the cap {MAX_EXPECTED_EDGES}")
     rng = random.Random(seed)
-    phi = [rng.randrange(target.vertex_count) for _ in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if target.has_edge(phi[u], phi[v]) and rng.random() < density:
-                edges.append((u, v))
-    return Graph.of(n, edges)
+    k = target.vertex_count
+    phi = [rng.randrange(k) for _ in range(n)]
+    # a draw d in [0, 2^53) has random() = d / 2^53 < density iff d < threshold
+    threshold = math.ceil(density * (1 << 53))
+    if threshold == 0:
+        # density 0 keeps no pair, and an edgeless target allows only it
+        return Graph.of(n, ())
+    import numpy as np
+
+    images = np.array(phi, dtype=np.int64)
+    # the target's edges in both orientations as codes a * k + b, sorted:
+    # memory in the target's edges, not in its k^2 pairs
+    codes = np.array(sorted(a * k + b for u, v in target.edges for a, b in ((u, v), (v, u))), dtype=np.int64)
+    # a set filled in the scalar loop's order, so its frozenset is the one
+    # Graph.of builds from the same pairs
+    edges: set[tuple[int, int]] = set()
+    rows = max(1, _CHUNK_CELLS // n)
+    for start in range(0, n - 1, rows):
+        # cell (i, j) is the pair u = start + i, v = start + 1 + j; the
+        # corner mask keeps u < v
+        stop = min(start + rows, n - 1)
+        pair = images[start:stop, None] * k + images[None, start + 1 :]
+        marked = codes.take(np.searchsorted(codes, pair), mode="clip") == pair
+        marked[:, : stop - start] &= np.arange(stop - start) >= np.arange(stop - start)[:, None]
+        cells = np.flatnonzero(marked)
+        bits = rng.getrandbits(64 * len(cells)).to_bytes(8 * len(cells), "little")
+        words = np.frombuffer(bits, dtype="<u4")
+        draws = (words[0::2] >> 5).astype(np.uint64) << 26 | words[1::2] >> 6
+        us, vs = np.divmod(cells[draws < threshold], n - start - 1)
+        edges.update(zip((us + start).tolist(), (vs + start + 1).tolist()))
+    return Graph(n, frozenset(edges))
 
 
 def random_id_assignment(n: int, id_range: int, seed: int) -> IdAssignment:

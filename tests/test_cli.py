@@ -232,6 +232,18 @@ class TestGenDeterminism:
         for target in ("K2", "K3", "C5"):
             gen_graph(workspace, f"{target}.txt", target=target, seed=2)
 
+    @pytest.mark.parametrize("argv, cap", [
+        (("--n", "100000"), "vertex pairs"),
+        (("--n", "10000", "--density", "0.6"), "expected edges"),
+    ])
+    def test_inputs_over_a_cap_exit_2(self, workspace, capsys, argv, cap):
+        out = workspace / "g.txt"
+        assert run_cli("gen", *argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("InvalidParams: ") and cap in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestAuditCommand:
     def test_report_line_and_exit(self, workspace, capsys):

@@ -1,10 +1,13 @@
+import math
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import globalcert.graphs as graphs
 from globalcert import (
+    BUILTIN_TARGETS,
     Bits,
     Certificate,
     CertificationError,
@@ -43,6 +46,54 @@ def with_comment_lines(text: str, rng: random.Random) -> str:
             out.append(rng.choice(["", "   ", "#", "# note", "  # x 1 2"]))
         out.append(rng.choice(["", "  ", "\t"]) + line + rng.choice(["", " ", "\t"]))
     return "\n".join(out) + rng.choice(["", "\n", "\n# end\n"])
+
+
+def scalar_planted_graph(n: int, target: Graph, density: float, seed: int, draws=None) -> Graph:
+    """The generator's pair loop, one `rng.random()` per candidate pair, as
+    the oracle of the numpy generator; each candidate's (u, v, draw) is
+    appended to `draws` when a list is given."""
+    rng = random.Random(seed)
+    phi = [rng.randrange(target.vertex_count) for _ in range(n)]
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if target.has_edge(phi[u], phi[v]):
+                draw = rng.random()
+                if draws is not None:
+                    draws.append((u, v, draw))
+                if draw < density:
+                    edges.append((u, v))
+    return Graph.of(n, edges)
+
+
+def assert_same_graph(graph: Graph, expected: Graph) -> None:
+    """Equal, and equal down to the frozenset's iteration order."""
+    assert graph == expected
+    assert list(graph.edges) == list(expected.edges)
+
+
+@st.composite
+def planted_calls(draw):
+    """(n, target, density, seed) for the generator: K1 at density 0, K2,
+    K3, C5 or a random 2-8 vertex graph, densities including 0 and 1, and
+    seeds including negative ones and ones above 2^64."""
+    n = draw(st.integers(1, 300))
+    target = draw(st.sampled_from(["K1", "K2", "K3", "C5", "random"]))
+    if target == "random":
+        k = draw(st.integers(2, 8))
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        graph = Graph.of(k, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    else:
+        graph = Graph.of(1) if target == "K1" else BUILTIN_TARGETS[target]
+    density = 0 if not graph.edges else draw(st.one_of(
+        st.sampled_from([0, 0.0, 1, 1.0, 1e-9, 0.999999]),
+        st.floats(0, 1),
+    ))
+    seed = draw(st.one_of(
+        st.sampled_from([0, 1, -1, 2**32 - 1, 2**64, 2**64 + 1]),
+        st.integers(-(2**80), 2**80),
+    ))
+    return n, graph, density, seed
 
 
 def random_csp(rng: random.Random) -> CspInstance:
@@ -274,6 +325,62 @@ class TestGenerator:
         with pytest.raises(InvalidParams):
             random_h_colorable_graph(4, lonely, 0.5, seed=0)
         assert random_h_colorable_graph(4, lonely, 0.0, seed=0).edges == frozenset()
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_calls())
+    def test_equals_the_scalar_loop(self, call):
+        assert_same_graph(random_h_colorable_graph(*call), scalar_planted_graph(*call))
+
+    def test_a_density_equal_to_a_draw_excludes_its_pair(self, k3):
+        # random() < density is strict: the pair whose draw equals the
+        # density is left out, and kept at the next float above it, which
+        # for a draw below 1/2 lies within one 2^-53 step of it
+        draws = []
+        scalar_planted_graph(40, k3, 0.5, 7, draws)
+        u, v, draw = next(d for d in draws[len(draws) // 2 :] if 0 < d[2] < 0.5)
+        for density, kept in ((draw, False), (math.nextafter(draw, 1), True)):
+            graph = random_h_colorable_graph(40, k3, density, 7)
+            assert_same_graph(graph, scalar_planted_graph(40, k3, density, 7))
+            assert ((u, v) in graph.edges) is kept
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 1000, None])
+    def test_chunk_boundaries_change_nothing(self, c5, cells, monkeypatch):
+        # None keeps the module's chunk size, which at n = 600 still splits
+        # the rows into more than one chunk
+        n = 600 if cells is None else 90
+        if cells is not None:
+            monkeypatch.setattr(graphs, "_CHUNK_CELLS", cells)
+        assert graphs._CHUNK_CELLS // n < n - 1
+        for density in (0.05, 1.0):
+            assert_same_graph(random_h_colorable_graph(n, c5, density, 3), scalar_planted_graph(n, c5, density, 3))
+
+    def test_a_target_of_many_vertices(self):
+        # pair codes take memory in the target's edges, not in its k^2
+        # pairs; at seeds 21 and 44 two of the 50 images are adjacent
+        path = Graph.of(10**5, [(v, v + 1) for v in range(10**5 - 1)])
+        for seed in (0, 21, 44):
+            expected = scalar_planted_graph(50, path, 1.0, seed)
+            assert bool(expected.edges) is (seed > 0)
+            assert_same_graph(random_h_colorable_graph(50, path, 1.0, seed), expected)
+
+    def test_caps_refuse_before_anything_is_drawn(self, k2, monkeypatch):
+        # n = 10 at density 0.5: 45 vertex pairs, 22.5 expected edges
+        expected = random_h_colorable_graph(10, k2, 0.5, 1)
+        for name, allowed, refused in (("MAX_GENERATED_PAIRS", 45, 44), ("MAX_EXPECTED_EDGES", 23, 22)):
+            with monkeypatch.context() as patch:
+                patch.setattr(graphs, name, allowed)
+                assert_same_graph(random_h_colorable_graph(10, k2, 0.5, 1), expected)
+                patch.setattr(graphs, name, refused)
+                patch.setattr(graphs, "random", None)
+                with pytest.raises(InvalidParams, match="above the cap"):
+                    random_h_colorable_graph(10, k2, 0.5, 1)
+
+    def test_default_caps(self, k2, monkeypatch):
+        monkeypatch.setattr(graphs, "random", None)
+        with pytest.raises(InvalidParams, match="vertex pairs"):
+            random_h_colorable_graph(10**5, k2, 0.0, 0)
+        with pytest.raises(InvalidParams, match="expected edges"):
+            random_h_colorable_graph(10**4, k2, 0.6, 0)
 
 
 class TestIdRangePolicy:

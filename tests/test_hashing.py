@@ -313,20 +313,24 @@ class TestPerfectHashSearch:
         assert perfect_hash_search(frozenset(keys), k, ell) == expected
 
     def test_import_and_verify_never_import_numpy(self, tmp_path):
-        # numpy is imported by the hash kernel only, which the prover and the
-        # audits run: an honest hash certificate, found here member by member
-        # through eval_hash, passes the verify CLI without loading it
+        # numpy is imported at call time by the hash kernel, which the prover
+        # and the audits run, and by the graph generator: an honest hash
+        # certificate, found here member by member through eval_hash, of a
+        # fixed graph passes the verify CLI without loading it
         script = """
 import sys
 from pathlib import Path
 import globalcert
-from globalcert import IdRangePolicy, SchemeParams, clique, eval_hash, find_homomorphism, parse_graph
+from globalcert import (
+    Graph, IdRangePolicy, SchemeParams, clique, eval_hash, find_homomorphism, random_id_assignment, serialize_graph,
+)
 from globalcert.cli import main
 from globalcert.schemes import HashCertificate, encode_certificate
 work = Path(sys.argv[1])
 graph_file, cert_file = str(work / "g.txt"), str(work / "g.cert")
-assert main(["gen", "--n", "6", "--seed", "3", "--out", graph_file]) == 0
-graph, ids = parse_graph(Path(graph_file).read_text())
+graph = Graph.of(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
+ids = random_id_assignment(6, 36, 3)
+Path(graph_file).write_text(serialize_graph(graph, ids))
 n = graph.vertex_count
 index = next(i for i in range(10**6) if len({eval_hash(i, x, n) for x in ids.ids}) == n)
 table = [0] * n
@@ -338,6 +342,19 @@ assert main(["verify", "--graph", graph_file, "--cert", cert_file]) == 0
 assert "numpy" not in sys.modules, "numpy was imported"
 """
         subprocess.run([sys.executable, "-c", script, str(tmp_path)], check=True, timeout=60,
+                       capture_output=True, cwd=Path(__file__).parents[1] / "src")
+
+    def test_gen_never_imports_numpy_random(self, tmp_path):
+        # numpy.random adds about 7 MB of resident memory; the generator
+        # draws from random.Random and loads numpy's core only
+        script = """
+import sys
+from globalcert.cli import main
+assert main(["gen", "--n", "50", "--target", "C5", "--seed", "3", "--out", sys.argv[1]]) == 0
+assert "numpy" in sys.modules, "numpy was not imported"
+assert "numpy.random" not in sys.modules, "numpy.random was imported"
+"""
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "g.txt")], check=True, timeout=60,
                        capture_output=True, cwd=Path(__file__).parents[1] / "src")
 
 
