@@ -5,14 +5,20 @@ locally.
 
 `backtrack` is iterative: it keeps the partial assignment in a list and
 moves a cursor over the variables, so its depth is not bounded by Python's
-recursion limit. The CSP scheme proves, encodes, decodes and looks up
-values through the same hash path as the graph scheme in `schemes`.
+recursion limit. Its domains are bitmasks: on arriving at a variable it asks
+once for the mask of values consistent with the earlier ones, and takes set
+bits in ascending order. `solve_scopes` builds those masks from support
+tables, one per relation and scope shape. The CSP scheme proves, encodes,
+decodes and looks up values through the same hash path as the graph scheme
+in `schemes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 from .bits import Bits
 from .errors import InvalidParams, NotSatisfiable, ParseError, TooLarge
@@ -127,49 +133,92 @@ def graph_to_csp(graph: Graph, ids: IdAssignment, target: TargetGraph) -> CspIns
     return CspInstance(graph.vertex_count, target.vertex_count, ids, constraints)
 
 
-def backtrack(variable_count: int, domain_size: int, consistent, budget: int):
+def backtrack(variable_count: int, domain_size: int, allowed, budget: int):
     """Lexicographically first assignment of values 0..domain_size-1 to
-    variables 0..variable_count-1 such that `consistent(var, values)` holds
-    after each `values[var]` is set, or None.
+    variables 0..variable_count-1 in which every `values[var]` is a set bit
+    of `allowed(var, values)`, or None.
 
-    Tries variables in index order and values ascending; each value tried
-    counts as one visited node, and more than `budget` of them raise
-    TooLarge. `consistent` may read only `values[0..var]`.
+    `allowed(var, values)` is the bitmask, below `1 << domain_size`, of the
+    values of `var` consistent with `values[0..var-1]`, the only values it
+    may read; it is asked once each time the search arrives at `var`. Variables go in index order and
+    values ascending. The search counts the nodes that trying each value in
+    turn would visit: `value - start + 1` to reach a set bit from `start`,
+    `domain_size - start` at a dead end. More than `budget` of them raise
+    TooLarge.
     """
     values = [-1] * variable_count
+    masks = [0] * variable_count
     visited = 0
     var = 0
     while 0 <= var < variable_count:
-        value = values[var] + 1
-        if value == domain_size:
-            values[var] = -1
-            var -= 1
-            continue
-        visited += 1
+        start = values[var] + 1
+        if start == 0:  # arriving from var - 1
+            masks[var] = allowed(var, values)
+        rest = masks[var] >> start
+        # values tried: up to the lowest set bit, or to the domain's end
+        skip = (rest & -rest).bit_length() if rest else domain_size - start
+        visited += skip
         if visited > budget:
             raise TooLarge(f"search budget of {budget} nodes exhausted")
-        values[var] = value
-        if consistent(var, values):
+        if rest:
+            values[var] = start + skip - 1
             var += 1
+        else:
+            values[var] = -1
+            var -= 1
     return None if var < 0 else tuple(values)
+
+
+def _reader(positions):
+    """itemgetter over `positions`: one value, a tuple of two or more, or ()."""
+    return itemgetter(*positions) if positions else lambda values: ()
+
+
+@lru_cache(maxsize=256)
+def _supports(relation: frozenset, last: tuple[bool, ...]) -> dict:
+    """Support table of `relation` for a scope whose positions `last` marks
+    name its last variable: the values at the other positions, as `_reader`
+    gives them, map to the mask of the last variable's values that complete
+    a row. A row that puts two values at the marked positions supports
+    nothing. The cache shares each table, so callers only read it."""
+    read = _reader([i for i, is_last in enumerate(last) if not is_last])
+    table: dict = {}
+    for row in relation:
+        marked = {row[i] for i, is_last in enumerate(last) if is_last}
+        if len(marked) == 1:
+            table[read(row)] = table.get(read(row), 0) | 1 << marked.pop()
+    return table
+
+
+@lru_cache(maxsize=1024)
+def _scope_support(scope: tuple[int, ...], relation: frozenset):
+    """(last variable, reader of the other variables' values, support table)
+    for one scope; cached because an audit solves many small quotients over
+    the same few scopes."""
+    var = max(scope)
+    table = _supports(relation, tuple(w == var for w in scope))
+    return var, _reader([w for w in scope if w != var]), table
 
 
 def solve_scopes(variable_count: int, domain_size: int, scopes, relations, budget: int):
     """Lexicographically first assignment that puts every scope's values in
-    its relation, or None; a scope may name a variable twice and is tested
-    once its last variable is set. Raises TooLarge past `budget` visited
-    nodes."""
-    by_last_var: list[list] = [[] for _ in range(variable_count)]
+    its relation, or None; a scope may name a variable twice and constrains
+    its last variable, whose allowed mask is the AND of the scope's support
+    table at the other variables' values. Raises TooLarge past `budget`
+    visited nodes."""
+    full = (1 << domain_size) - 1
+    lookups: list[list] = [[] for _ in range(variable_count)]
     for scope, relation in zip(scopes, relations):
-        by_last_var[max(scope)].append((scope, relation))
+        var, read, table = _scope_support(scope, relation)
+        lookups[var].append((read, table))
 
-    def consistent(var: int, values: list[int]) -> bool:
-        return all(
-            tuple(values[w] for w in scope) in relation
-            for scope, relation in by_last_var[var]
-        )
+    def allowed(var: int, values: list[int]) -> int:
+        mask = full
+        for read, table in lookups[var]:
+            mask &= table.get(read(values), 0)
+        return mask
 
-    return backtrack(variable_count, domain_size, consistent, budget)
+    return backtrack(variable_count, domain_size, allowed, budget)
 
 
 def solve_csp(instance: CspInstance, budget: int = 10**7) -> tuple[int, ...] | None:

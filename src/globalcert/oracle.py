@@ -31,25 +31,26 @@ def find_homomorphism(
     """Lexicographically first homomorphism graph -> target, or None.
 
     Runs the one iterative search, `csp.backtrack`, over vertices in index
-    order and values ascending, testing each vertex's edges to lower-indexed
-    neighbors against the target's edge relation (the relation
-    `graph_to_csp` uses); raises TooLarge after `budget` visited search
-    nodes, so satisfiable instances far beyond the worst-case bound still
-    solve quickly.
+    order and values ascending: a vertex may take the target vertices
+    adjacent to the values of all its lower-indexed neighbors, the AND of
+    one target-adjacency mask per such neighbor. Raises TooLarge after
+    `budget` visited search nodes, so satisfiable instances far beyond the
+    worst-case bound still solve quickly.
     """
-    allowed = edge_relation(target)
-    back_neighbors = [
-        [u for u in graph.neighbors(v) if u < v] for v in range(graph.vertex_count)
-    ]
+    k = target.vertex_count
+    full = (1 << k) - 1
+    compat = [sum(1 << b for b in target.neighbors(a)) for a in range(k)]
+    back_neighbors: list[list[int]] = [[] for _ in range(graph.vertex_count)]
+    for u, v in graph.edges:  # u < v
+        back_neighbors[v].append(u)
 
-    def consistent(v: int, values: list[int]) -> bool:
-        value = values[v]
+    def allowed(v: int, values: list[int]) -> int:
+        mask = full
         for u in back_neighbors[v]:
-            if (value, values[u]) not in allowed:
-                return False
-        return True
+            mask &= compat[values[u]]
+        return mask
 
-    return backtrack(graph.vertex_count, target.vertex_count, consistent, budget)
+    return backtrack(graph.vertex_count, k, allowed, budget)
 
 
 def exists_homomorphism(graph: Graph, target: TargetGraph) -> bool:

@@ -31,6 +31,7 @@ from globalcert import (
     verify_hash,
 )
 from globalcert.bits import gamma_len
+from globalcert.csp import edge_relation, solve_scopes
 from globalcert.schemes import HashCertificate, encode_certificate
 
 from labeled_graphs import all_labeled_graphs
@@ -167,6 +168,105 @@ class TestSharedSearch:
         assert find_homomorphism(graph, target) == first
         ids = IdAssignment(tuple(range(n)), n)
         assert solve_csp(graph_to_csp(graph, ids, target)) == first
+
+
+def plain_backtrack(variable_count, domain_size, consistent):
+    """The value-by-value search that `csp.backtrack` counts visits against:
+    the lexicographically first assignment such that `consistent(var,
+    values)` holds after each `values[var]` is set, or None, and the number
+    of values it tried."""
+    values = [-1] * variable_count
+    visited = 0
+    var = 0
+    while 0 <= var < variable_count:
+        value = values[var] + 1
+        if value == domain_size:
+            values[var] = -1
+            var -= 1
+            continue
+        visited += 1
+        values[var] = value
+        if consistent(var, values):
+            var += 1
+    return (None if var < 0 else tuple(values)), visited
+
+
+def plain_homomorphism(graph, target):
+    allowed = edge_relation(target)
+    back_neighbors = [[u for u in graph.neighbors(v) if u < v] for v in range(graph.vertex_count)]
+
+    def consistent(v, values):
+        return all((values[v], values[u]) in allowed for u in back_neighbors[v])
+
+    return plain_backtrack(graph.vertex_count, target.vertex_count, consistent)
+
+
+def plain_scopes(variable_count, domain_size, scopes, relations):
+    by_last_var = [[] for _ in range(variable_count)]
+    for scope, relation in zip(scopes, relations):
+        by_last_var[max(scope)].append((scope, relation))
+
+    def consistent(var, values):
+        return all(tuple(values[w] for w in scope) in relation for scope, relation in by_last_var[var])
+
+    return plain_backtrack(variable_count, domain_size, consistent)
+
+
+def assert_same_search(solve, plain):
+    """`solve(budget)` gives up one visit short of the plain search's count
+    and returns its result at that count."""
+    result, visited = plain
+    with pytest.raises(TooLarge):
+        solve(visited - 1)
+    assert solve(visited) == result
+
+
+@st.composite
+def scoped_instances(draw, max_vars, domain_sizes, max_rows):
+    """(variable_count, domain_size, scopes, relations) with scopes of arity
+    1 to 3 that may name a variable more than once."""
+    n = draw(st.integers(1, max_vars))
+    d = draw(domain_sizes)
+    scopes, relations = [], []
+    for arity in draw(st.lists(st.integers(1, 3), max_size=8)):
+        scopes.append(tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity))))
+        row = st.tuples(*[st.integers(0, d - 1)] * arity)
+        relations.append(frozenset(draw(st.lists(row, max_size=max_rows))))
+    return n, d, scopes, relations
+
+
+class TestMaskSearch:
+    """The bitmask search returns the plain search's result and raises
+    TooLarge one visit short of the plain search's visit count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_graph_solver(self, data):
+        from globalcert import Graph
+
+        def edges(pairs):
+            return data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+
+        n = data.draw(st.integers(1, 9))
+        graph = Graph.of(n, edges([(u, v) for u in range(n) for v in range(u + 1, n)]))
+        kind = data.draw(st.sampled_from(["K2", "K3", "C5", "random"]))
+        if kind == "random":
+            k = data.draw(st.integers(2, 6))
+            isolated = data.draw(st.integers(0, k - 1))
+            target = Graph.of(k, edges([(a, b) for a in range(k) for b in range(a + 1, k) if isolated not in (a, b)]))
+        else:
+            target = BUILTIN_TARGETS[kind]
+        assert_same_search(lambda b: find_homomorphism(graph, target, budget=b), plain_homomorphism(graph, target))
+
+    @settings(max_examples=200, deadline=None)
+    @given(scoped_instances(5, st.integers(1, 4), 12))
+    def test_scopes(self, instance):
+        assert_same_search(lambda b: solve_scopes(*instance, b), plain_scopes(*instance))
+
+    @settings(max_examples=60, deadline=None)
+    @given(scoped_instances(3, st.just(70), 40))
+    def test_scopes_past_64_values(self, instance):
+        assert_same_search(lambda b: solve_scopes(*instance, b), plain_scopes(*instance))
 
 
 class TestValidation:
