@@ -19,6 +19,7 @@ from .errors import (
     MalformedCertificate,
     NoPerfectHash,
     NotSatisfiable,
+    ParseError,
     TooLarge,
 )
 from .graphs import (
@@ -173,21 +174,28 @@ def _cmd_audit(args) -> int:
     return 0 if report.property_holds == report.certificate_accepted_exists else 1
 
 
+def _bench_spec(row: str) -> BenchSpec:
+    """The BenchSpec of one `--row`: comma-separated key=value parts, the
+    keys n (required), target, policy and density; ParseError names the
+    first part that is not one of them."""
+    fields = {}
+    for part in row.split(","):
+        key, eq, value = part.partition("=")
+        if not eq or key not in ("n", "target", "policy", "density"):
+            raise ParseError(f"bad --row part {part!r}: expected n=, target=, policy= or density=")
+        fields[key] = value
+    if "n" not in fields:
+        raise ParseError(f"--row {row!r} has no n=")
+    return BenchSpec(
+        n=int(fields["n"]),
+        target=_load_target(fields.get("target", "K2")),
+        policy=IdRangePolicy.parse(fields.get("policy", "poly:4")),
+        density=float(fields.get("density", 0.6)),
+    )
+
+
 def _cmd_bench(args) -> int:
-    if args.row:
-        specs = []
-        for row in args.row:
-            fields = dict(part.split("=", 1) for part in row.split(","))
-            specs.append(
-                BenchSpec(
-                    n=int(fields["n"]),
-                    target=_load_target(fields.get("target", "K2")),
-                    policy=IdRangePolicy.parse(fields.get("policy", "poly:4")),
-                    density=float(fields.get("density", 0.6)),
-                )
-            )
-    else:
-        specs = default_bench_specs()
+    specs = [_bench_spec(row) for row in args.row] if args.row else default_bench_specs()
     schemes = [SchemeTag.from_label(s) for s in args.schemes.split(",")]
     rows = bench_sizes(specs, schemes, args.seed)
     _write_text(args.out, rows_to_csv(rows))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .bits import Bits
@@ -71,15 +71,15 @@ class CspInstance:
     def incident(self, var: int) -> tuple[CspConstraint, ...]:
         """The constraints whose scope holds `var`, in constraint order;
         built for every variable on the first call."""
-        inc = getattr(self, "_inc", None)
-        if inc is None:
-            lists: list[list[CspConstraint]] = [[] for _ in range(self.variable_count)]
-            for ct in self.constraints:
-                for v in ct.scope:
-                    lists[v].append(ct)
-            inc = tuple(map(tuple, lists))
-            object.__setattr__(self, "_inc", inc)
-        return inc[var] if 0 <= var < self.variable_count else ()
+        return self._incident[var] if 0 <= var < self.variable_count else ()
+
+    @cached_property
+    def _incident(self) -> tuple[tuple[CspConstraint, ...], ...]:
+        lists: list[list[CspConstraint]] = [[] for _ in range(self.variable_count)]
+        for ct in self.constraints:
+            for v in ct.scope:
+                lists[v].append(ct)
+        return tuple(map(tuple, lists))
 
 
 @dataclass(frozen=True)

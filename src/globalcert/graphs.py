@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .bits import Bits
@@ -42,21 +43,18 @@ class Graph:
         return cls(vertex_count, frozenset({(u, v) if u < v else (v, u) for u, v in edges}))
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adjacency()[v]
+        return self._adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
+    @cached_property
     def _adjacency(self) -> tuple[frozenset[int], ...]:
-        adj = getattr(self, "_adj", None)
-        if adj is None:
-            sets: list[set[int]] = [set() for _ in range(self.vertex_count)]
-            for u, v in self.edges:
-                sets[u].add(v)
-                sets[v].add(u)
-            adj = tuple(frozenset(s) for s in sets)
-            object.__setattr__(self, "_adj", adj)
-        return adj
+        sets: list[set[int]] = [set() for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            sets[u].add(v)
+            sets[v].add(u)
+        return tuple(frozenset(s) for s in sets)
 
 
 # The homomorphism target is an ordinary graph; the alias marks intent.

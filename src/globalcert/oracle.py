@@ -5,23 +5,27 @@ holds): rather than visiting each certificate, an audit solves the quotient
 on the positions (buckets or identifiers) the variables read, and ranks its
 first solution in canonical order.
 
-The hash and bitmap audits read those positions a block of members at a
-time, the hash audit through the prover's kernel `hashing.member_blocks`,
-and solve once per position pattern new to the block and not already known
-unsolvable. numpy is imported at the first block, so importing the package
-does not load it.
+One planner, `_plan`, sizes the hash, bitmap and id-list spaces claim by
+claim and raises TooLarge at the first claim past max_space, before any
+solve. The hash and bitmap audits then read positions a block of members
+at a time, each row of the plan carrying its blocks: the prover's kernel
+`hashing.member_blocks` for the hash space, one block of the identifiers
+for a bitmap. They solve once per position pattern new to the block and
+not already known unsolvable. numpy is imported at the first block, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .csp import CspInstance, CspParams, backtrack, edge_relation, solve_csp, solve_scopes
+from . import csp, schemes
+from .csp import CspInstance, CspParams, backtrack, csp_view, edge_relation, solve_csp, solve_scopes
 from .errors import InvalidParams, TooLarge
 from .graphs import Graph, IdAssignment, TargetGraph, local_view
 from .hashing import family_size, member_blocks
-from .schemes import Certificate, HashCertificate, HashFramework, SchemeParams, SchemeTag
-from .schemes import encode_hash_certificate, verify_certificate
+from .schemes import BitmapCertificate, Certificate, HashCertificate, HashFramework, IdListCertificate
+from .schemes import SchemeParams, SchemeTag, encode_hash_certificate, verify_certificate
 from .schemes import encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
 
 
@@ -124,23 +128,15 @@ def _first_accepted(positions, n_values, scopes, relations):
     return None if solution is None else dict(zip(used, solution))
 
 
-def _scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
-    """First accepted certificate in canonical order over the spaces
-    (claim, id_range, width, members) that `rows` yields: each member holds
-    n_values**width entry vectors, and read(members, width) yields (start,
-    positions) arrays, variable v of member start + i reading position
-    positions[i, v]; make(claim, member, vector) is the certificate. Raises
-    TooLarge, before solving, at the first claim past max_space. A member
-    whose pattern is known unsolvable is counted whole, as is a space some
-    identifier lies at or above (every node rejects it). Returns the
-    accepted certificate or None, the count tried, and the canonically
-    first certificate (None for an empty space)."""
-    import numpy as np
-
-    n_values = params.domain_size
+def _plan(n_values, bounds: AuditBounds, rows) -> list:
+    """The rows (claim, id_range, width, members, ...) in order, each claim
+    a space of `members` members of n_values**width entry vectors. Raises
+    TooLarge, before anything is solved, at the first claim that takes the
+    total past max_space."""
     plan = []
     space = 0
-    for claim, id_range, width, members in rows:
+    for row in rows:
+        claim, _, width, members = row[:4]
         # n_values ** width overflows memory long before it compares small,
         # so bound the exponent first
         if n_values > 1 and width > bounds.max_space.bit_length():
@@ -148,19 +144,35 @@ def _scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
         space += members * n_values**width
         if space > bounds.max_space:
             raise _too_large(bounds, claim)
-        plan.append((claim, id_range, width, members))
+        plan.append(row)
+    return plan
 
+
+def _scan(params, bounds, rows, make, variable_ids, scopes, relations):
+    """First accepted certificate in canonical order over the spaces
+    (claim, id_range, width, members, blocks) that `rows` yields, as `_plan`
+    sizes them: each member holds n_values**width entry vectors, and blocks
+    yields (start, positions) arrays, variable v of member start + i reading
+    position positions[i, v]; make(claim, member, vector) is the
+    certificate. A member whose pattern is known unsolvable is counted
+    whole, as is a space some identifier lies at or above (every node
+    rejects it). Returns the accepted certificate or None, the count tried,
+    and the canonically first certificate (None for an empty space)."""
+    import numpy as np
+
+    n_values = params.domain_size
+    plan = _plan(n_values, bounds, rows)
     # whether a member has a solution depends only on which variables share
     # a position: unsolvable patterns, each variable's position replaced by
     # the first variable at that position
     unsolvable = set()
     tried = 0
-    for claim, id_range, width, members in plan:
+    for claim, id_range, width, members, blocks in plan:
         entry_space = n_values**width
         if any(i >= id_range for i in variable_ids):
             tried += members * entry_space
             continue
-        for start, positions in read(members, width):
+        for start, positions in blocks:
             positions = np.asarray(positions, dtype=np.intp)
             # rows x width x n cells, where a pairwise test needs rows x n x n
             at = positions[:, None, :] == np.arange(width)[:, None]
@@ -189,12 +201,9 @@ def _scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
 
 
 def _hash_space(params: HashFramework, bounds, variable_ids, scopes, relations):
-    """First accepted hash certificate (claim, index, entries): one block
+    """First accepted hash certificate (claim, index, entries): one space
     per claim whose buckets fit below M(claim), holding every family member,
     in which variable v reads the bucket its identifier hashes to."""
-
-    def read(members, buckets):
-        return member_blocks(variable_ids, buckets, members)
 
     def make(claim, index, colors):
         return encode_hash_certificate(HashCertificate(claim, index, colors), params)
@@ -203,9 +212,10 @@ def _hash_space(params: HashFramework, bounds, variable_ids, scopes, relations):
         for claim, id_range in _claims(params.id_policy, bounds):
             buckets = params.bucket_count(claim)
             if buckets <= id_range:
-                yield claim, id_range, buckets, family_size(buckets, id_range)
+                members = family_size(buckets, id_range)
+                yield claim, id_range, buckets, members, member_blocks(variable_ids, buckets, members)
 
-    return _scan(params, bounds, rows(), read, make, variable_ids, scopes, relations)
+    return _scan(params, bounds, rows(), make, variable_ids, scopes, relations)
 
 
 def audit_soundness(
@@ -240,25 +250,17 @@ def _audit(property_holds, space, params, bounds, ids, scopes, relations, accept
 
 
 def _idlist_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
-    """First accepted id list in canonical order. Within a claim it holds
-    every vertex's identifier plus the claim - n smallest others, ascending;
-    the vertices take the first coloring in identifier order, the others
-    color 0. It exists only when n <= claim <= M(claim) and every identifier
-    lies below M(claim); otherwise the claim's whole space is counted."""
-    # looked up at call time, where a tracer may have wrapped the encoder
-    from .schemes import IdListCertificate, encode_idlist_certificate
-
+    """First accepted id list in canonical order. A claim c is M(c)**c
+    members, one per identifier list, of c color entries. Within a claim it
+    holds every vertex's identifier plus the claim - n smallest others,
+    ascending; the vertices take the first coloring in identifier order, the
+    others color 0. It exists only when n <= claim <= M(claim) and every
+    identifier lies below M(claim); otherwise the claim's whole space is
+    counted."""
     n_values = params.domain_size
-    plan = []
-    space = 0
-    for claim, id_range in _claims(params.id_policy, bounds):
-        plan.append((claim, id_range))
-        space += (id_range * n_values) ** claim
-        if space > bounds.max_space:
-            raise _too_large(bounds, claim)
-
+    rows = ((claim, id_range, claim, id_range**claim) for claim, id_range in _claims(params.id_policy, bounds))
     tried = 0
-    for claim, id_range in plan:
+    for claim, id_range, _, members in _plan(n_values, bounds, rows):
         if len(vertex_ids) <= claim <= id_range and all(i < id_range for i in vertex_ids):
             found = _first_accepted(vertex_ids, n_values, edges, relations)
             if found is not None:
@@ -267,43 +269,34 @@ def _idlist_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
                 rank = 0
                 for identifier, color in records:
                     rank = rank * id_range * n_values + identifier * n_values + color
-                cert = encode_idlist_certificate(IdListCertificate(tuple(records)), params)
+                cert = schemes.encode_idlist_certificate(IdListCertificate(tuple(records)), params)
                 return cert, tried + rank + 1, None
-        tried += (id_range * n_values) ** claim
-    if not plan:
-        return None, tried, None
-    first = IdListCertificate(((0, 0),) * plan[0][0])
-    return None, tried, encode_idlist_certificate(first, params)
+        tried += members * n_values**claim
+    # claim 1 always exists, and its first list is the one record (0, 0)
+    return None, tried, schemes.encode_idlist_certificate(IdListCertificate(((0, 0),)), params)
 
 
 def _bitmap_space(params: SchemeParams, bounds, vertex_ids, edges, relations):
-    """First accepted bitmap in canonical order: a one-member block per
-    distinct range, ascending, in which each vertex reads the color at its
-    identifier."""
-    # looked up at call time, where a tracer may have wrapped the encoder
-    from .schemes import BitmapCertificate, encode_bitmap_certificate
+    """First accepted bitmap in canonical order: a space of one member per
+    distinct range, ascending, whose one block reads the color at each
+    vertex's identifier."""
 
     def make(claim, member, colors):
-        return encode_bitmap_certificate(BitmapCertificate(colors), params)
+        return schemes.encode_bitmap_certificate(BitmapCertificate(colors), params)
 
-    claims = _claims(params.id_policy, bounds)
     if params.value_width == 0:
         # one empty payload; every node checks only that it has no neighbors
-        if next(claims, None) is None:
-            return None, 0, None
         cert = make(1, 0, ())
-        if not edges:
-            return cert, 1, None
-        return None, 1, cert
+        return (None, 1, cert) if edges else (cert, 1, None)
 
     def rows():
         last = None
-        for claim, id_range in claims:
+        for claim, id_range in _claims(params.id_policy, bounds):
             if id_range != last:  # M is non-decreasing: each range once
-                yield claim, id_range, id_range, 1
+                yield claim, id_range, id_range, 1, [(0, [vertex_ids])]
             last = id_range
 
-    return _scan(params, bounds, rows(), lambda members, width: [(0, [vertex_ids])], make, vertex_ids, edges, relations)
+    return _scan(params, bounds, rows(), make, vertex_ids, edges, relations)
 
 
 _SPACES = {
@@ -321,12 +314,9 @@ def audit_csp_soundness(
     """CSP analog of audit_soundness for the hash-compressed scheme: the
     certificate space is searched against every variable's incident
     constraints."""
-    # looked up at call time, where a tracer may have wrapped them
-    from .csp import csp_view, verify_csp_variable
-
     cts = instance.constraints
     return _audit(
         solve_csp(instance) is not None, _hash_space, params, bounds, instance.ids.ids,
         [ct.scope for ct in cts], [ct.relation for ct in cts],
-        lambda v, cert: verify_csp_variable(csp_view(instance, v, cert.payload), params),
+        lambda v, cert: csp.verify_csp_variable(csp_view(instance, v, cert.payload), params),
     )

@@ -276,12 +276,17 @@ def _read_fields(payload: Bits, layout_of: Callable[[int], _Layout]) -> tuple[in
             raise MalformedCertificate(f"field value {field} outside [0, {bound})")
         values.append(field)
         pos += width
-    # either nothing follows, or the zero fill up to a byte boundary: then
-    # the payload is whole bytes, and the fill its integer's last bits
-    tail = length - end
-    if tail and (tail != -end % 8 or value & ((1 << tail) - 1)):
+    if not _byte_filled(payload, end):
         raise MalformedCertificate("trailing garbage after payload")
     return n, values
+
+
+def _byte_filled(payload: Bits, content: int) -> bool:
+    """Whether the payload is its first `content` bits, or those bits
+    zero-filled to a byte boundary: a fill of under 8 bits, which then lies
+    in the last byte."""
+    fill = payload.length - content
+    return fill == 0 or (fill == -content % 8 and not payload.data[-1] & ((1 << fill) - 1))
 
 
 def encode_assignment_fields(
@@ -406,11 +411,8 @@ def _bitmap_content_bits(payload: Bits, params: SchemeParams) -> int:
     # non-decreasing by the properties IdRangePolicy states; M(n) >= n
     # bounds the n that fit
     n = bisect.bisect_right(range(1, length // width + 1), length, key=bits)
-    if n:
-        content = bits(n)
-        tail = length - content
-        if tail == 0 or (length % 8 == 0 and tail < 8 and not any(map(payload.bit, range(content, length)))):
-            return content
+    if n and _byte_filled(payload, content := bits(n)):
+        return content
     raise MalformedCertificate("payload length matches no identifier range")
 
 

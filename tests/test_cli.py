@@ -202,6 +202,17 @@ class TestPipelines:
         assert code == 1
         assert out.count("reject") >= 6
 
+    def test_empty_certificate_file_rejects_everywhere(self, workspace, capsys):
+        graph = gen_graph(workspace)
+        cert = workspace / "c.bin"
+        cert.write_bytes(b"")
+        capsys.readouterr()
+        code = run_cli("verify", "--graph", str(graph), "--cert", str(cert), "--id-range", "poly:2")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.count(" reject\n") == 6 and "accept" not in captured.out
+        assert captured.err == ""
+
 
     @pytest.mark.parametrize("claim, length", [(100_000, 100_097), (40_000, 60_000)])
     @pytest.mark.parametrize("kind", ["--graph", "--csp"])
@@ -280,6 +291,21 @@ class TestBenchCommand:
         assert len(lines) == 3
 
 
+    @pytest.mark.parametrize("row, bad", [
+        ("n=4,denisty=0.1", "'denisty=0.1'"),
+        ("n4", "'n4'"),
+        ("n=4,", "''"),
+        ("target=K2,policy=poly:4", "no n="),
+    ])
+    def test_a_row_of_unknown_keys_exits_2(self, workspace, capsys, row, bad):
+        out = workspace / "bench.csv"
+        assert run_cli("bench", "--row", row, "--schemes", "hash", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("ParseError: ") and bad in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestCspPipeline:
     def test_gen_prove_verify_csp(self, workspace, capsys):
         csp = workspace / "inst.csp"
@@ -319,3 +345,14 @@ class TestCspPipeline:
             out = capsys.readouterr().out
             assert code == 1
             assert out.count(" reject\n") == 6 and "accept" not in out
+
+    @pytest.mark.parametrize("scheme", ["idlist", "bitmap"])
+    def test_csp_proves_under_the_hash_scheme_only(self, workspace, capsys, scheme):
+        csp = workspace / "inst.csp"
+        assert run_cli("gen", "--n", "5", "--seed", "4", "--id-range", "fixed:16", "--csp", "--out", str(csp)) == 0
+        cert = workspace / "c.bin"
+        capsys.readouterr()
+        assert run_cli("prove", "--scheme", scheme, "--csp", str(csp), "--out", str(cert)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "CertificationError: CSP instances certify under the hash scheme only\n"
+        assert not cert.exists()

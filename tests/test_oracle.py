@@ -151,6 +151,29 @@ class TestAudit:
         assert report.certificate_accepted_exists
         assert report.certificates_tried == 2**41 + 2**30 + 2
 
+    def test_one_vertex_target_bitmap_space_is_one_empty_payload(self):
+        params = SchemeParams(clique(1), IdRangePolicy.fixed(8))
+        alone = audit_soundness(Graph.of(1), IdAssignment((6,), 8), SchemeTag.BITMAP, params)
+        assert alone.certificate_accepted_exists and alone.certificates_tried == 1
+        assert alone.witness.payload.length == 0
+        edge = audit_soundness(Graph.of(2, [(0, 1)]), IdAssignment((6, 2), 8), SchemeTag.BITMAP, params)
+        assert not edge.property_holds and not edge.certificate_accepted_exists
+        assert edge.certificates_tried == 1 and edge.witness == 2
+
+    @pytest.mark.parametrize("scheme", list(SchemeTag), ids=lambda s: s.label)
+    def test_claims_end_where_the_policy_refuses(self, scheme):
+        # fixed:3 refuses claims above 3, so max_claimed_n 5 sizes claims 1-3
+        bounds = AuditBounds(max_claimed_n=5)
+        params = SchemeParams(K2, IdRangePolicy.fixed(3))
+        report = audit_soundness(K3, IdAssignment((0, 1, 2), 3), scheme, params, bounds)
+        assert not report.certificate_accepted_exists
+        whole = {
+            SchemeTag.HASH: sum(family_size(k, 3) * 2**k for k in (1, 2, 3)),
+            SchemeTag.IDLIST: 258,  # (3 ids x 2 colors)^k over k = 1, 2, 3
+            SchemeTag.BITMAP: 8,  # one range, 3 entries of 2 colors
+        }[scheme]
+        assert report.certificates_tried == whole
+
     def test_bitmap_ranges_share_one_unsolvable_quotient(self, monkeypatch):
         # K4 -> K3 has no coloring; ranges 4, 5 and 6 each hold every
         # identifier, and all three read the same identifier quotient
@@ -280,7 +303,8 @@ class TestAuditMatchesBruteForce:
     # first witnesses at and past the start of the space, 4-vertex graphs
     # no id list of claim <= 3 can cover, and poly:2 graphs holding the id
     # M(2) = 4, so that a node rejects every claim below 3, the largest
-    # identifier sitting exactly at M(2)
+    # identifier sitting exactly at M(2); and the loopless K1, whose bitmap
+    # space is the one empty payload
     CASES = [
         (Graph.of(2), K3, IdRangePolicy.fixed(5), None),
         (Graph.of(2, [(0, 1)]), K2, IdRangePolicy.fixed(8), None),
@@ -292,6 +316,8 @@ class TestAuditMatchesBruteForce:
         (clique(4), K3, IdRangePolicy.fixed(4), None),
         (Graph.of(3, [(0, 1), (1, 2)]), K2, IdRangePolicy.poly(2), (4, 0, 2)),
         (K3, K2, IdRangePolicy.poly(2), (1, 4, 3)),
+        (Graph.of(1), clique(1), IdRangePolicy.fixed(8), None),
+        (Graph.of(2, [(0, 1)]), clique(1), IdRangePolicy.fixed(8), None),
     ]
 
     @pytest.mark.parametrize("scheme", list(SchemeTag), ids=lambda s: s.label)
@@ -324,29 +350,31 @@ class TestAuditMatchesBruteForce:
             assert report.witness == witness
 
 
-def reference_scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
+def reference_scan(params, bounds, rows, make, variable_ids, scopes, relations):
     """oracle._scan one member at a time, the oracle for its block scan:
-    variable v of `member` reads read(member, width)[v], and a member's
-    pattern maps each variable to the first variable at its position."""
+    variable v of member start + i reads positions[i][v] of the row's blocks,
+    and a member's pattern maps each variable to the first variable at its
+    position."""
     n_values = params.domain_size
     plan = []
     space = 0
-    for claim, id_range, width, members in rows:
+    for claim, id_range, width, members, blocks in rows:
         if n_values > 1 and width > bounds.max_space.bit_length():
             raise oracle._too_large(bounds, claim)
         space += members * n_values**width
         if space > bounds.max_space:
             raise oracle._too_large(bounds, claim)
-        plan.append((claim, id_range, width, members))
+        plan.append((claim, id_range, width, members, blocks))
     unsolvable = set()
     tried = 0
-    for claim, id_range, width, members in plan:
+    for claim, id_range, width, members, blocks in plan:
         entry_space = n_values**width
         if any(i >= id_range for i in variable_ids):
             tried += members * entry_space
             continue
-        for member in range(members):
-            positions = read(member, width)
+        for member, positions in (
+            (start + i, list(row)) for start, block in blocks for i, row in enumerate(block)
+        ):
             pattern = tuple(map(positions.index, positions))
             if pattern not in unsolvable:
                 entries = oracle._first_accepted(positions, n_values, scopes, relations)
@@ -362,12 +390,14 @@ def reference_scan(params, bounds, rows, read, make, variable_ids, scopes, relat
 
 
 def reference_hash_space(params, bounds, variable_ids, scopes, relations):
-    """oracle._hash_space with each member's buckets from the scalar mixer."""
+    """oracle._hash_space with each member's buckets from the scalar mixer,
+    one member to a block."""
     mixed = [hashing._mix_input(i) for i in variable_ids]
 
-    def read(index, buckets):
-        salt = hashing._fin(index)
-        return [hashing._fin(m ^ salt) % buckets for m in mixed]
+    def blocks(buckets, members):
+        for index in range(members):
+            salt = hashing._fin(index)
+            yield index, [[hashing._fin(m ^ salt) % buckets for m in mixed]]
 
     def make(claim, index, colors):
         return oracle.encode_hash_certificate(HashCertificate(claim, index, colors), params)
@@ -376,16 +406,10 @@ def reference_hash_space(params, bounds, variable_ids, scopes, relations):
         for claim, id_range in oracle._claims(params.id_policy, bounds):
             buckets = params.bucket_count(claim)
             if buckets <= id_range:
-                yield claim, id_range, buckets, oracle.family_size(buckets, id_range)
+                members = oracle.family_size(buckets, id_range)
+                yield claim, id_range, buckets, members, blocks(buckets, members)
 
-    return reference_scan(params, bounds, rows(), read, make, variable_ids, scopes, relations)
-
-
-def bitmap_reference_scan(params, bounds, rows, read, make, variable_ids, scopes, relations):
-    # a bitmap member's positions are the identifiers themselves
-    return reference_scan(
-        params, bounds, rows, lambda member, width: list(variable_ids), make, variable_ids, scopes, relations
-    )
+    return reference_scan(params, bounds, rows(), make, variable_ids, scopes, relations)
 
 
 def solved_audit(audit):
@@ -406,7 +430,7 @@ def member_by_member(audit):
     with (
         mock.patch.object(oracle, "_hash_space", reference_hash_space),
         mock.patch.dict(oracle._SPACES, {SchemeTag.HASH: reference_hash_space}),
-        mock.patch.object(oracle, "_scan", bitmap_reference_scan),
+        mock.patch.object(oracle, "_scan", reference_scan),
     ):
         return solved_audit(audit)
 

@@ -717,6 +717,14 @@ class TestVerifierTotality:
         one_id = IdAssignment((2,), 4)
         assert verify_bitmap(view_of(isolated, one_id, 0, empty), params)
 
+    @pytest.mark.parametrize("bits", ["1", "0001", "00000000", "0000000000000001"])
+    def test_a_nonempty_one_vertex_bitmap_is_malformed(self, bits):
+        params = SchemeParams(target=clique(1), id_policy=IdRangePolicy.fixed(4))
+        cert = Certificate(SchemeTag.BITMAP, Bits.from01(bits))
+        with pytest.raises(MalformedCertificate, match="nonempty payload"):
+            decode_certificate(cert, params)
+        assert not verify_bitmap(view_of(Graph.of(1), IdAssignment((2,), 4), 0, cert), params)
+
     @pytest.mark.parametrize("claim, length", [(100_000, 100_097), (40_000, 60_000), (40_000, 100_000)])
     def test_claims_beyond_the_family_size_reject_everywhere(self, claim, length):
         # gamma(claim) then zeros: the first two payloads are too short for
