@@ -122,8 +122,8 @@ def local_view(graph: Graph, ids: IdAssignment, vertex: int, certificate: Bits) 
     if len(ids.ids) != graph.vertex_count:
         raise InvalidParams("id assignment does not cover the graph")
     return LocalView(
-        own_id=ids.id_of(vertex),
-        neighbor_ids=frozenset(ids.id_of(u) for u in graph.neighbors(vertex)),
+        own_id=ids.ids[vertex],
+        neighbor_ids=frozenset(map(ids.ids.__getitem__, graph.neighbors(vertex))),
         certificate=certificate,
     )
 

@@ -54,10 +54,9 @@ def run_all_nodes(
 ) -> RunResult:
     """Build each vertex's local view and apply the scheme's verifier;
     decisions are independent across vertices."""
+    payload, scheme = certificate.payload, certificate.scheme
     decisions = tuple(
-        verify_certificate(
-            local_view(graph, ids, v, certificate.payload), certificate.scheme, params
-        )
+        verify_certificate(local_view(graph, ids, v, payload), scheme, params)
         for v in range(graph.vertex_count)
     )
     return RunResult(

@@ -32,12 +32,13 @@ edge.
 
 The certificate is global, so its lookup depends only on the payload and
 the params. `shared_lookup` builds it once for the nodes of a network: it
-keeps the last (colors_of, payload, params) it saw, compared by value, and
-its lookup computes each identifier's color once. A node verifier asks it
-for the lookup, so a network of n nodes decodes once, not n times, while
-each node still decides alone.
+keeps the last (colors_of, payload, params) it saw, matched by identity
+and then by value, and its lookup computes each identifier's color once.
+A node verifier asks it for the lookup, so a network of n nodes decodes
+once, not n times, while each node still decides alone.
 
-The BITMAP prover and encoder share one writer, and its decoder reads
+The BITMAP prover and encoder share one writer, which lays every entry's
+bits out in one numpy array and packs them in one step; the decoder reads
 through the verifier's lookup.
 
 The HASH path is shared with the CSP scheme, which differs only in what an
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import IntEnum
@@ -368,27 +370,33 @@ def decode_idlist_payload(payload: Bits, params: SchemeParams) -> IdListCertific
     return IdListCertificate(tuple(zip(fields[::2], fields[1::2])))
 
 
-def _write_bitmap(colors, id_range: int, width: int) -> Certificate:
-    """The bitmap of `id_range` width-bit entries holding each (identifier,
-    color) pair of `colors`: a zeroed buffer in which only the nonzero
-    colors are written."""
-    total = id_range * width
-    buf = bytearray((total + 7) // 8)
-    for identifier, color in colors:
-        pos = (identifier + 1) * width - 1  # the entry's last bit
-        while color:
-            if color & 1:
-                buf[pos >> 3] |= 0x80 >> (pos & 7)
-            color >>= 1
-            pos -= 1
-    return Certificate(SchemeTag.BITMAP, Bits(bytes(buf), total))
+def _write_bitmap(colors, params: SchemeParams, identifiers=slice(None), id_range: int | None = None) -> Certificate:
+    """The bitmap of `id_range` entries, zero but for each of `colors` at
+    its identifier in `identifiers`, or of one entry per color when only
+    the colors are given; InvalidParams on a color outside the target.
+    numpy is imported here, so that verifying loads none of it."""
+    import numpy as np
+
+    bound, width = params.domain_size, params.value_width
+    try:
+        # bytes() reads one-byte colors in one pass and refuses any outside
+        # [0, 256); a target of more vertices takes the general path
+        if bound <= 256:
+            entries = np.frombuffer(bytes(colors), np.uint8)
+        else:
+            entries = np.fromiter(map(operator.index, colors), np.int64)
+    except (TypeError, ValueError, OverflowError):
+        entries = None
+    if entries is None or entries.size and not 0 <= entries.min() <= entries.max() < bound:
+        raise InvalidParams(f"a color is not a target vertex, an integer in [0, {bound})")
+    # one row of bits per identifier, MSB first, packed in one step
+    bits = np.zeros((len(entries) if id_range is None else id_range, width), np.uint8)
+    bits[identifiers] = (entries[:, None] >> np.arange(width - 1, -1, -1, dtype=entries.dtype)) & 1
+    return Certificate(SchemeTag.BITMAP, Bits(np.packbits(bits).tobytes(), bits.size))
 
 
 def encode_bitmap_certificate(decoded: BitmapCertificate, params: SchemeParams) -> Certificate:
-    for color in decoded.colors:
-        if not 0 <= color < params.target.vertex_count:
-            raise InvalidParams(f"color {color} outside the target")
-    return _write_bitmap(enumerate(decoded.colors), len(decoded.colors), params.value_width)
+    return _write_bitmap(decoded.colors, params)
 
 
 def _bitmap_content_bits(payload: Bits, params: SchemeParams) -> int:
@@ -398,7 +406,7 @@ def _bitmap_content_bits(payload: Bits, params: SchemeParams) -> int:
     width = params.value_width
     length = payload.length
     if width == 0:
-        if length >= 8 or any(payload.bit(i) for i in range(length)):
+        if not _byte_filled(payload, 0):
             raise MalformedCertificate("nonempty payload for a 1-vertex target")
         return 0
 
@@ -507,7 +515,7 @@ def prove_bitmap(
     id_range = range_for_proving(ids, graph.vertex_count, params.id_policy)
     if id_range > BITMAP_MAX_RANGE:
         raise BitmapTooLarge(f"M(n) = {id_range} exceeds the 2^26 bitmap cap")
-    return _write_bitmap(zip(ids.ids, phi), id_range, params.value_width)
+    return _write_bitmap(phi, params, list(ids.ids), id_range)
 
 
 # ---------------------------------------------------------------------------
@@ -576,17 +584,34 @@ def _bitmap_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
     return lookup
 
 
-@functools.lru_cache(maxsize=1)
+# the last (colors_of, payload, params) that shared_lookup saw, and its lookup
+_last_lookup: list = [None, None, None, None]
+
+
 def shared_lookup(colors_of, payload: Bits, params: HashFramework) -> ColorLookup | None:
     """`colors_of(payload, params)` with each identifier's color memoised,
     or None for a MalformedCertificate, which every node rejects.
 
     One entry, keyed by value: the nodes of one network share it, and the
-    next certificate or params replace it."""
+    next certificate or params replace it. A node matches it by identity
+    first, so the nodes of one network hash and compare nothing."""
+    last_colors_of, last_payload, last_params, lookup = _last_lookup
+    if colors_of is last_colors_of and (payload is last_payload or payload == last_payload) \
+            and (params is last_params or params == last_params):
+        return lookup
     try:
-        return functools.cache(colors_of(payload, params))
+        lookup = functools.cache(colors_of(payload, params))
     except MalformedCertificate:
-        return None
+        lookup = None
+    _last_lookup[:] = colors_of, payload, params, lookup
+    return lookup
+
+
+def _clear_shared_lookup() -> None:
+    _last_lookup[:] = None, None, None, None
+
+
+shared_lookup.cache_clear = _clear_shared_lookup
 
 
 def check(lookup: ColorLookup, view: LocalView, params: SchemeParams) -> bool:
@@ -595,12 +620,10 @@ def check(lookup: ColorLookup, view: LocalView, params: SchemeParams) -> bool:
     own_color = lookup(view.own_id)
     if own_color is None:
         return False
-    has_edge = params.target.has_edge
-    for neighbor in view.neighbor_ids:
-        other = lookup(neighbor)
-        if other is None or not has_edge(own_color, other):
-            return False
-    return True
+    # every decoder bounds colors by the target, so the own color is a
+    # target vertex; None, a neighbor with no color, is in no row
+    row = params.target.neighbors(own_color)
+    return all(map(row.__contains__, map(lookup, view.neighbor_ids)))
 
 
 def _decide(colors_of, view: LocalView, params: SchemeParams) -> bool:

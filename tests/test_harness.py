@@ -28,6 +28,7 @@ from globalcert import (
     default_bench_specs,
     eval_hash,
     family_size,
+    graph_to_csp,
     prove_and_run,
     random_h_colorable_graph,
     random_id_assignment,
@@ -339,6 +340,29 @@ class TestSharedLookup:
             decisions = csp_decisions(instance, cert, params)
             assert calls == [cert.payload]
             assert all(decisions) == (cert is honest)
+        # an equal but distinct payload and params match the entry by value
+        graph, ids, cert, params = planted(SchemeTag.HASH, clique(3), 40, rng)
+        shared_lookup.cache_clear()
+        calls.clear()
+        decisions = run_all_nodes(graph, ids, cert, params).decisions
+        twin = Certificate(cert.scheme, Bits(bytearray(cert.payload.data), cert.payload.length))
+        twin_params = SchemeParams(Graph.of(3, clique(3).edges), IdRangePolicy.poly(2), Fraction(1))
+        assert twin.payload is not cert.payload and twin.payload == cert.payload
+        assert twin_params is not params and twin_params == params
+        assert run_all_nodes(graph, ids, twin, twin_params).decisions == decisions
+        assert calls == [cert.payload]
+        # cache_clear drops the entry
+        shared_lookup.cache_clear()
+        assert run_all_nodes(graph, ids, twin, twin_params).decisions == decisions
+        assert calls == [cert.payload] * 2
+        # a CSP network and then a graph network on the same payload: the
+        # params differ, so each decodes once
+        calls.clear()
+        instance = graph_to_csp(graph, ids, clique(3))
+        assert csp_decisions(instance, cert, CspParams(3, params.id_policy)) == list(decisions)
+        assert calls == [cert.payload]
+        assert run_all_nodes(graph, ids, cert, params).decisions == decisions
+        assert calls == [cert.payload] * 2
 
     def test_no_stale_lookup_across_certificates(self):
         rng = random.Random(8)
@@ -377,6 +401,115 @@ class TestSharedLookup:
             blob = cert.to_bytes()
             from_buffer = csp_decisions(instance, Certificate.from_bytes(bytearray(blob)), params)
             assert from_buffer == csp_decisions(instance, Certificate.from_bytes(blob), params)
+
+
+SIX = Graph.of(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+RULE_TARGETS = {"K1": clique(1), "K2": K2, "C5": cycle(5), "six": SIX}
+
+
+def rule_network(scheme, target, n, isolated, outside, payload, rng):
+    """(graph, ids, certificate, params) on n vertices under M = n^2, the
+    last `isolated` of them without edges. Identifiers come from [0, 2M)
+    when `outside`, so some may lie outside M(n). The certificate is honest
+    for a random colouring, whose non-edges the graph keeps now and then;
+    or it is that certificate with one vertex recoloured, truncated or
+    with one bit flipped; or random bits."""
+    params = SchemeParams(target, IdRangePolicy.poly(2))
+    values, id_range = target.vertex_count, n * n
+    ids = random_id_assignment(n, id_range * (2 if outside else 1), rng.randrange(1 << 32))
+    inside = [v for v in range(n) if ids.ids[v] < id_range]
+    if scheme is SchemeTag.HASH:
+        index = rng.randrange(family_size(n, id_range))
+        table = [rng.randrange(values) for _ in range(n)]
+        slot = [eval_hash(index, i, n) for i in ids.ids]
+        colour = [table[b] for b in slot]
+    elif scheme is SchemeTag.IDLIST:
+        colour = [rng.randrange(values) for _ in range(n)]
+        # identifiers no vertex holds fill the records up to n
+        spare = sorted(set(range(id_range)) - set(ids.ids))[: n - len(inside)]
+        records = {**{ids.ids[v]: colour[v] for v in inside}, **{i: rng.randrange(values) for i in spare}}
+    else:
+        entries = [rng.randrange(values) for _ in range(id_range)]
+        colour = [entries[i] if i < id_range else 0 for i in ids.ids]
+    connected = n - min(isolated, n)
+    edges = [
+        (u, v)
+        for u in range(connected)
+        for v in range(u + 1, connected)
+        if rng.random() < (0.4 if target.has_edge(colour[u], colour[v]) else 0.03)
+    ]
+    graph = Graph.of(n, edges)
+    if payload == "recoloured" and inside:
+        v = rng.choice(inside)
+        if scheme is SchemeTag.HASH:
+            table[slot[v]] = (table[slot[v]] + 1) % values
+        elif scheme is SchemeTag.IDLIST:
+            records[ids.ids[v]] = (records[ids.ids[v]] + 1) % values
+        else:
+            entries[ids.ids[v]] = (entries[ids.ids[v]] + 1) % values
+    if scheme is SchemeTag.HASH:
+        decoded = HashCertificate(n, index, tuple(table))
+    elif scheme is SchemeTag.IDLIST:
+        decoded = IdListCertificate(tuple(sorted(records.items())))
+    else:
+        decoded = BitmapCertificate(tuple(entries))
+    cert = encode_certificate(decoded, params)
+    length = cert.payload.length
+    if payload == "truncated":
+        cert = mutated(cert, [("truncate", rng.randrange(16))])
+    elif payload == "flipped":
+        cert = mutated(cert, [("flip", rng.randrange(1 << 16))])
+    elif payload == "random":
+        cert = Certificate(scheme, Bits.from01("".join(rng.choice("01") for _ in range(rng.randrange(length + 17)))))
+    return graph, ids, cert, params
+
+
+def rule_colour(decoded, params, identifier):
+    """The colour that README's rule gives `identifier` in a decoded
+    certificate, or None."""
+    if isinstance(decoded, HashCertificate):
+        if identifier >= params.id_policy.evaluate(decoded.claimed_n):
+            return None
+        return decoded.colors[eval_hash(decoded.hash_index, identifier, len(decoded.colors))]
+    if isinstance(decoded, IdListCertificate):
+        listed = [i for i, _ in decoded.records]
+        if any(a >= b for a, b in zip(listed, listed[1:])):
+            return None
+        return dict(decoded.records).get(identifier)
+    if params.target.vertex_count == 1:
+        return 0
+    return decoded.colors[identifier] if identifier < len(decoded.colors) else None
+
+
+def rule_decision(graph, ids, v, cert, params):
+    """Node v's decision by README's rule, decoding the certificate itself:
+    a payload that does not decode rejects; otherwise the node accepts iff
+    its own identifier and every neighbour's have a colour and every
+    incident colour pair is a target edge."""
+    try:
+        decoded = decode_certificate(cert, params)
+    except MalformedCertificate:
+        return False
+    own = rule_colour(decoded, params, ids.ids[v])
+    others = [rule_colour(decoded, params, ids.ids[u]) for edge in graph.edges if v in edge for u in edge if u != v]
+    return own is not None and None not in others and all(params.target.has_edge(own, c) for c in others)
+
+
+class TestDecisionsFollowTheRule:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scheme=st.sampled_from(list(SchemeTag)),
+        target=st.sampled_from(list(RULE_TARGETS)),
+        n=st.integers(1, 12),
+        isolated=st.integers(0, 3),
+        outside=st.booleans(),
+        payload=st.sampled_from(["honest", "recoloured", "truncated", "flipped", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_network_decisions_equal_a_fresh_decision_per_node(self, scheme, target, n, isolated, outside, payload, seed):
+        graph, ids, cert, params = rule_network(scheme, RULE_TARGETS[target], n, isolated, outside, payload, random.Random(seed))
+        expected = tuple(rule_decision(graph, ids, v, cert, params) for v in range(n))
+        assert run_all_nodes(graph, ids, cert, params).decisions == expected
 
 
 class TestProbeStatistics:

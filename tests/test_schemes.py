@@ -483,6 +483,32 @@ class TestBitmapCodec:
             with pytest.raises(MalformedCertificate):
                 _bitmap_colors(bad.payload, params)
 
+    @pytest.mark.parametrize("vertices", [2, 3, 5, 256, 257, 300])
+    def test_the_writer_puts_each_color_msb_first_at_its_identifier(self, vertices):
+        # one-byte colors up to 256 target vertices, the general path above;
+        # the prover's entries at the identifiers, zero elsewhere
+        target = clique(2) if vertices == 2 else cycle(vertices)
+        params = SchemeParams(target, IdRangePolicy.fixed(40))
+        rng = random.Random(vertices)
+        colors = tuple(rng.randrange(vertices) for _ in range(40))
+        width = params.value_width
+        payload = encode_certificate(BitmapCertificate(colors), params).payload
+        assert payload.to01() == "".join(format(c, f"0{width}b") for c in colors)
+        assert decode_certificate(Certificate(SchemeTag.BITMAP, payload), params).colors == colors
+        graph, ids = Graph.of(2, [(0, 1)]), IdAssignment((17, 5), 40)
+        phi = find_homomorphism(graph, target)
+        by_id = {17: phi[0], 5: phi[1]}
+        full = BitmapCertificate(tuple(by_id.get(i, 0) for i in range(40)))
+        assert prove_bitmap(graph, ids, params) == encode_certificate(full, params)
+
+    @pytest.mark.parametrize(
+        "vertices, color", [(3, 3), (3, -1), (3, 256), (3, 1.0), (300, 300), (300, -1), (300, 1 << 70), (300, 1.0)]
+    )
+    def test_the_writer_refuses_a_color_outside_the_target(self, vertices, color):
+        params = SchemeParams(cycle(vertices), IdRangePolicy.fixed(4))
+        with pytest.raises(InvalidParams, match="color"):
+            encode_certificate(BitmapCertificate((0, color, 0, 1)), params)
+
 
 class TestFieldCodec:
     """The hash (graph and CSP) and id-list layouts, one field codec: gamma(n),
@@ -724,6 +750,20 @@ class TestVerifierTotality:
         with pytest.raises(MalformedCertificate, match="nonempty payload"):
             decode_certificate(cert, params)
         assert not verify_bitmap(view_of(Graph.of(1), IdAssignment((2,), 4), 0, cert), params)
+
+    def test_a_one_vertex_bitmap_takes_no_fill(self):
+        # the empty payload is the whole bitmap; a fill of 1-7 zero bits
+        # pads no content, so every node rejects it, as it rejects 8
+        params = SchemeParams(target=clique(1), id_policy=IdRangePolicy.fixed(4))
+        graph, ids = Graph.of(3), IdAssignment((0, 2, 3), 4)
+        empty = Certificate(SchemeTag.BITMAP, Bits.empty())
+        assert decode_certificate(empty, params) == BitmapCertificate(())
+        assert run_all_nodes(graph, ids, empty, params).decisions == (True,) * 3
+        for bits in ("000", "00000000"):
+            cert = Certificate(SchemeTag.BITMAP, Bits.from01(bits))
+            with pytest.raises(MalformedCertificate, match="nonempty payload"):
+                decode_certificate(cert, params)
+            assert run_all_nodes(graph, ids, cert, params).decisions == (False,) * 3
 
     @pytest.mark.parametrize("claim, length", [(100_000, 100_097), (40_000, 60_000), (40_000, 100_000)])
     def test_claims_beyond_the_family_size_reject_everywhere(self, claim, length):
