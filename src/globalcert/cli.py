@@ -3,7 +3,8 @@
 Exit codes: 0 success / all nodes accept; 1 some node rejects or an audit
 finds a certificate/property mismatch; 2 usage, input or unexpected error;
 3 prover error (NotSatisfiable, NoPerfectHash, BitmapTooLarge) or a search
-over its bound (TooLarge: a solver budget or an audit's certificate space).
+over its bound (TooLarge: a solver budget, an audit's certificate space or
+the perfect-hash scan's probe cap).
 """
 
 from __future__ import annotations

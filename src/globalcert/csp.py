@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from .bits import Bits
 from .errors import InvalidParams, NotSatisfiable, ParseError, TooLarge
-from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph, _integers, read_instance
+from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph, _integers, edge_relation, read_instance
 from .hashing import perfect_hash_search  # noqa: F401  kept: perfbench/tracing.py patches it here
 from .schemes import Certificate, HashFramework, ProveStats, hash_colors, prove_hash_table, shared_lookup
 from .schemes import decode_assignment_fields, encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
@@ -114,12 +114,6 @@ def csp_view(instance: CspInstance, var: int, certificate: Bits) -> CspView:
         for ct in instance.incident(var)
     )
     return CspView(instance.ids.id_of(var), incident, certificate)
-
-
-def edge_relation(target: TargetGraph) -> frozenset[tuple[int, int]]:
-    """The target's edges in both orientations, as a binary relation."""
-    n = target.vertex_count
-    return frozenset((a, b) for a in range(n) for b in range(n) if target.has_edge(a, b))
 
 
 def graph_to_csp(graph: Graph, ids: IdAssignment, target: TargetGraph) -> CspInstance:

@@ -30,10 +30,8 @@ class Graph:
         if self.vertex_count < 1:
             raise InvalidParams("graph needs at least one vertex")
         for u, v in self.edges:
-            if u == v:
-                raise InvalidEdge(f"self-loop at {u}")
-            if not (0 <= u < v < self.vertex_count):
-                raise InvalidEdge(f"bad edge ({u}, {v})")
+            if not 0 <= u < v < self.vertex_count:
+                raise InvalidEdge(f"self-loop at {u}" if u == v else f"bad edge ({u}, {v})")
 
     @classmethod
     def of(cls, vertex_count: int, edges: Iterable[tuple[int, int]] = ()) -> "Graph":
@@ -59,6 +57,11 @@ class Graph:
 
 # The homomorphism target is an ordinary graph; the alias marks intent.
 TargetGraph = Graph
+
+
+def edge_relation(target: TargetGraph) -> frozenset[tuple[int, int]]:
+    """The target's edges in both orientations, as a binary relation."""
+    return frozenset({arc for u, v in target.edges for arc in ((u, v), (v, u))})
 
 
 def clique(k: int) -> Graph:
@@ -179,11 +182,7 @@ class IdRangePolicy:
         return m
 
     def describe(self) -> str:
-        if self.kind == "fixed":
-            return f"fixed:{self.param}"
-        if self.kind == "poly":
-            return f"poly:{self.param}"
-        return "doubexp"
+        return "doubexp" if self.kind == "doubexp" else f"{self.kind}:{self.param}"
 
     @classmethod
     def parse(cls, text: str) -> "IdRangePolicy":
@@ -343,9 +342,9 @@ def random_h_colorable_graph(n: int, target: TargetGraph, density: float, seed: 
     import numpy as np
 
     images = np.array(phi, dtype=np.int64)
-    # the target's edges in both orientations as codes a * k + b, sorted:
-    # memory in the target's edges, not in its k^2 pairs
-    codes = np.array(sorted(a * k + b for u, v in target.edges for a, b in ((u, v), (v, u))), dtype=np.int64)
+    # the target's arcs as codes a * k + b, sorted: memory in the target's
+    # edges, not in its k^2 pairs
+    codes = np.array(sorted(a * k + b for a, b in edge_relation(target)), dtype=np.int64)
     # a set filled in the scalar loop's order, so its frozenset is the one
     # Graph.of builds from the same pairs
     edges: set[tuple[int, int]] = set()
@@ -374,11 +373,9 @@ def random_id_assignment(n: int, id_range: int, seed: int) -> IdAssignment:
     if id_range < n:
         raise InvalidId(f"id range {id_range} smaller than vertex count {n}")
     rng = random.Random(seed)
-    chosen: list[int] = []
-    seen: set[int] = set()
+    # a dict keeps each identifier where it was first drawn; a repeat
+    # draw leaves it in place
+    chosen: dict[int, None] = {}
     while len(chosen) < n:
-        candidate = rng.randrange(id_range)
-        if candidate not in seen:
-            seen.add(candidate)
-            chosen.append(candidate)
+        chosen[rng.randrange(id_range)] = None
     return IdAssignment(tuple(chosen), id_range)

@@ -14,7 +14,9 @@ candidates in expectation. The scan tests blocks of members in numpy at
 2.3-2.8 million probes per second (a 2-vCPU Xeon VM), so an honest proof at
 k = 16 took a median 0.43 s and at k = 18 2.3 s. Each step of k costs
 about e times more, so the exponential search keeps honest proving
-desk-scale at lambda = 1.
+desk-scale at lambda = 1. A scan stops with TooLarge after MAX_SCAN_PROBES
+= 10^8 members, about 40 s at that rate, so a large k is refused rather
+than scanned without end.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NewType
 
-from .errors import InvalidParams, NoPerfectHash
+from .errors import InvalidParams, NoPerfectHash, TooLarge
 
 HashIndex = NewType("HashIndex", int)
 
@@ -34,6 +36,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 MAX_FAMILY_K = 20_000
+# members a perfect-hash scan probes before it raises TooLarge
+MAX_SCAN_PROBES = 10**8
 
 
 def _e_bounds(p: int) -> tuple[int, int]:
@@ -188,8 +192,9 @@ def member_blocks(keys, k: int, size: int):
 def perfect_hash_search(keys: frozenset[int] | set[int], k: int, ell: int) -> PerfectHashSearch:
     """Scan indices 0, 1, 2, ... for the smallest member injective on `keys`.
 
-    Requires len(keys) <= k <= ell and every key < ell. Raises NoPerfectHash
-    if the whole family is exhausted (never observed in practice; the family
+    Requires len(keys) <= k <= ell and every key < ell. Raises TooLarge
+    after MAX_SCAN_PROBES members without a perfect one, and NoPerfectHash
+    if a smaller family is exhausted (never observed in practice; the family
     size leaves room for ~e^k misses).
 
     The scan tests the blocks of member_blocks in turn, and the first row
@@ -203,12 +208,15 @@ def perfect_hash_search(keys: frozenset[int] | set[int], k: int, ell: int) -> Pe
     for x in keys:
         if not 0 <= x < ell:
             raise InvalidParams(f"key {x} outside the family domain [0, {ell})")
-    for start, buckets in member_blocks(keys, k, family_size(k, ell)):
+    size = family_size(k, ell)
+    for start, buckets in member_blocks(keys, k, min(size, MAX_SCAN_PROBES)):
         buckets.sort(axis=1)
         distinct = (buckets[:, 1:] != buckets[:, :-1]).all(axis=1)
         if distinct.any():
             index = start + int(distinct.argmax())
             return PerfectHashSearch(index=HashIndex(index), probes=index + 1)
+    if size > MAX_SCAN_PROBES:
+        raise TooLarge(f"none of the first {MAX_SCAN_PROBES} members of the ({k}, {ell}) family is injective")
     raise NoPerfectHash(f"no member of the ({k}, {ell}) family is injective on the keys")
 
 

@@ -176,7 +176,7 @@ def _scan(params, bounds, rows, make, variable_ids, scopes, relations):
             positions = np.asarray(positions, dtype=np.intp)
             # rows x width x n cells, where a pairwise test needs rows x n x n
             at = positions[:, None, :] == np.arange(width)[:, None]
-            patterns = np.take_along_axis(at.argmax(axis=2), positions, axis=1)
+            patterns = at.argmax(axis=2)[np.arange(len(positions))[:, None], positions]
             # each distinct pattern's first row: a stable sort keeps equal
             # patterns in row order
             order = np.lexsort(patterns.T[::-1])
@@ -238,14 +238,15 @@ def _audit(property_holds, space, params, bounds, ids, scopes, relations, accept
     """Run `space` over the identifiers and the scopes' relations. The
     witness is the accepted certificate, else the lowest identifier whose
     node refuses the canonically first certificate, `accepts(v, cert)`
-    deciding for node v (None for an empty space)."""
+    deciding for node v (None for an empty space). Every node's real
+    verifier runs on an accepted certificate too: the space models the
+    nodes, and a certificate some node refuses is an error, not a result."""
     found, tried, first = space(params, bounds, ids, scopes, relations)
-    if found is not None:
-        witness = found
-    elif first is None:
-        witness = None
-    else:
-        witness = min((i for v, i in enumerate(ids) if not accepts(v, first)), default=None)
+    checked = first if found is None else found
+    rejecting = [] if checked is None else [i for v, i in enumerate(ids) if not accepts(v, checked)]
+    if found is not None and rejecting:
+        raise AssertionError(f"audit witness rejected at identifiers {rejecting}")
+    witness = min(rejecting, default=None) if found is None else found
     return AuditReport(property_holds, found is not None, tried, witness)
 
 

@@ -113,6 +113,12 @@ def test_bits_value_semantics():
         Bits(b"\x01", 4)  # nonzero padding in the backing byte
 
 
+@pytest.mark.parametrize("data, length", [(b"\x00", 9), (b"\x00\x00", 8), (b"", 1), (b"", -1), (b"\x00", 0)])
+def test_length_must_match_the_backing_bytes(data, length):
+    with pytest.raises(InvalidParams, match="bit length inconsistent"):
+        Bits(data, length)
+
+
 def test_bits_from_a_mutable_buffer_hold_bytes():
     buffer = bytearray(b"\x80")
     bits = Bits(buffer, 1)

@@ -117,6 +117,14 @@ class TestPipelines:
             assert run_cli("verify", *inputs, "--cert", str(cert), "--id-range", "poly:2") == 2
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and err.endswith("\n")
+        for argv, message in (
+            (("prove", "--scheme", "hash", "--graph", str(graph), "--id-range", "poly:1", "--out", str(cert)),
+             "InvalidParams: identifier 15 outside policy range M(n) = 6\n"),
+            (("bench", "--schemes", "hash,foo", "--row", "n=4"), "InvalidParams: unknown scheme 'foo'\n"),
+            (("audit", "--graph", str(graph), "--max-n", "0"), "InvalidParams: bounds must be positive\n"),
+        ):
+            assert run_cli(*argv) == 2
+            assert capsys.readouterr().err == message
 
     def test_invalid_option_exits_2_whatever_the_certificate_tag(self, workspace, capsys):
         graph = gen_graph(workspace)

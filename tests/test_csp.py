@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from globalcert import (
     BUILTIN_TARGETS,
+    Bits,
     CspConstraint,
     CspInstance,
     CspParams,
@@ -283,6 +284,18 @@ class TestValidation:
             CspInstance(1, 2, ids8(1), (CspConstraint((3,), frozenset({(0,)})),))
         with pytest.raises(InvalidParams):
             CspInstance(1, 2, ids8(1), (CspConstraint((0,), frozenset({(5,)})),))
+        with pytest.raises(InvalidParams, match="does not cover the variables"):
+            CspInstance(2, 2, ids8(1), ())
+
+    def test_params_need_a_domain(self):
+        with pytest.raises(InvalidParams, match="domain must be non-empty"):
+            CspParams(domain_size=0, id_policy=IdRangePolicy.fixed(8))
+
+    @pytest.mark.parametrize("var", [-1, 2])
+    def test_view_of_a_variable_out_of_range(self, var):
+        instance = CspInstance(2, 2, ids8(2), ())
+        with pytest.raises(InvalidParams, match=f"variable {var} out of range"):
+            csp_view(instance, var, Bits.empty())
 
 
 class TestCertification:

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import globalcert.csp as csp
 import globalcert.graphs as graphs
 from globalcert import (
     BUILTIN_TARGETS,
@@ -19,6 +20,7 @@ from globalcert import (
     InvalidEdge,
     InvalidId,
     InvalidParams,
+    LocalView,
     MalformedCertificate,
     ParseError,
     SchemeParams,
@@ -202,6 +204,10 @@ class TestParsing:
             assert parse_csp(text) == instance
             assert parse_csp(with_comment_lines(text, rng)) == instance
 
+    def test_serializing_ids_that_do_not_cover_the_graph_is_refused(self):
+        with pytest.raises(InvalidParams, match="does not cover"):
+            serialize_graph(Graph.of(2, [(0, 1)]), IdAssignment((0,), 4))
+
     @pytest.mark.parametrize("parse, text, error", SINGLE_FAULTS)
     def test_single_fault_input_raises_its_type(self, parse, text, error):
         with pytest.raises(error) as raised:
@@ -221,10 +227,71 @@ class TestParsing:
             pass
 
 
+def k_squared_edge_relation(target: Graph) -> frozenset[tuple[int, int]]:
+    """The target's arcs by testing every ordered vertex pair, the oracle of
+    the edge-built relation."""
+    n = target.vertex_count
+    return frozenset((a, b) for a in range(n) for b in range(n) if target.has_edge(a, b))
+
+
+def list_and_set_ids(n: int, id_range: int, seed: int) -> IdAssignment:
+    """Rejection sampling into a list, with a set of the identifiers seen,
+    the oracle of the generator's one-container draw."""
+    rng = random.Random(seed)
+    chosen: list[int] = []
+    seen: set[int] = set()
+    while len(chosen) < n:
+        candidate = rng.randrange(id_range)
+        if candidate not in seen:
+            seen.add(candidate)
+            chosen.append(candidate)
+    return IdAssignment(tuple(chosen), id_range)
+
+
 class TestGraphInvariants:
     def test_no_self_loops(self):
         with pytest.raises(InvalidEdge):
             Graph.of(2, [(0, 0)])
+
+    @pytest.mark.parametrize("edge, message", [
+        ((1, 1), "self-loop at 1"),
+        ((0, 0), "self-loop at 0"),
+        ((2, 1), "bad edge (2, 1)"),
+        ((-1, 1), "bad edge (-1, 1)"),
+        ((-2, -2), "self-loop at -2"),
+        ((1, 3), "bad edge (1, 3)"),
+        ((3, 3), "self-loop at 3"),
+        ((0, 2**70), f"bad edge (0, {2**70})"),
+    ])
+    def test_every_invalid_edge_raises_invalid_edge(self, edge, message):
+        # built directly, so Graph.of does not reorder the pair
+        with pytest.raises(InvalidEdge) as raised:
+            Graph(3, frozenset({(0, 1), edge}))
+        assert str(raised.value) == message
+
+    def test_a_graph_needs_a_vertex(self):
+        with pytest.raises(InvalidParams, match="at least one vertex"):
+            Graph(0, frozenset())
+        with pytest.raises(InvalidParams, match="at least 3 vertices"):
+            cycle(2)
+
+    def test_edge_relation_equals_the_pair_scan(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            k = rng.randrange(1, 31)
+            p = rng.random()
+            target = Graph.of(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < p])
+            assert graphs.edge_relation(target) == k_squared_edge_relation(target)
+        assert csp.edge_relation is graphs.edge_relation
+
+    def test_edge_relation_of_a_large_target_is_linear_in_its_edges(self):
+        n = 10**5
+        path = Graph.of(n, [(v, v + 1) for v in range(n - 1)])
+        started = time.perf_counter()
+        arcs = graphs.edge_relation(path)
+        assert time.perf_counter() - started < 1.0
+        assert len(arcs) == 2 * (n - 1)
+        assert (0, 1) in arcs and (1, 0) in arcs and (0, 2) not in arcs
 
     def test_unordered_and_deduplicated(self):
         g = Graph.of(3, [(1, 0), (0, 1)])
@@ -287,6 +354,12 @@ class TestLocalView:
         with pytest.raises(InvalidParams):
             local_view(g, IdAssignment((0,), 1), 1, Bits.empty())
 
+    def test_ids_must_cover_the_graph_and_own_id_is_no_neighbor(self):
+        with pytest.raises(InvalidParams, match="does not cover"):
+            local_view(Graph.of(2, [(0, 1)]), IdAssignment((0,), 4), 0, Bits.empty())
+        with pytest.raises(InvalidParams, match="own id listed among neighbors"):
+            LocalView(1, frozenset({1, 2}), Bits.empty())
+
 
 class TestGenerator:
     def test_density_one_is_complete_between_classes(self, k2):
@@ -319,6 +392,10 @@ class TestGenerator:
     def test_bad_density_rejected(self, k2):
         with pytest.raises(InvalidParams):
             random_h_colorable_graph(4, k2, 1.5, seed=0)
+
+    def test_no_vertex_rejected(self, k2):
+        with pytest.raises(InvalidParams, match="n must be positive"):
+            random_h_colorable_graph(0, k2, 0.5, seed=0)
 
     def test_edgeless_target_needs_density_zero(self):
         lonely = Graph.of(1)
@@ -390,6 +467,11 @@ class TestIdRangePolicy:
         with pytest.raises(InvalidParams):
             p.evaluate(9)  # M < n
 
+    @pytest.mark.parametrize("policy", ["fixed:8", "poly:2", "doubexp"])
+    def test_n_must_be_positive(self, policy):
+        with pytest.raises(InvalidParams, match="n must be positive"):
+            IdRangePolicy.parse(policy).evaluate(0)
+
     def test_poly(self):
         p = IdRangePolicy.poly(4)
         assert p.evaluate(12) == 20736
@@ -421,6 +503,8 @@ class TestIdRangePolicy:
             assert IdRangePolicy.parse(text).describe() == text
         with pytest.raises(InvalidParams):
             IdRangePolicy.parse("linear:2")
+        with pytest.raises(InvalidParams, match="unknown policy kind 'linear'"):
+            IdRangePolicy("linear", 2)
 
     def test_fixed_range_bounds(self):
         with pytest.raises(InvalidParams):
@@ -523,3 +607,11 @@ class TestRandomIds:
     def test_range_too_small(self):
         with pytest.raises(InvalidId):
             random_id_assignment(5, 4, seed=0)
+
+    def test_equals_the_list_and_set_loop(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randrange(1, 40)
+            for id_range in (n, n + 1, 2 * n, n**2, 2**32, rng.randrange(n, 2**128 + 1), 2**128):
+                ids = random_id_assignment(n, id_range, seed)
+                assert ids == list_and_set_ids(n, id_range, seed), (seed, n, id_range)

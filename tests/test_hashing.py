@@ -16,6 +16,7 @@ from globalcert import (
     InvalidParams,
     NoPerfectHash,
     PerfectHashSearch,
+    TooLarge,
     eval_hash,
     family_size,
     find_perfect_hash,
@@ -156,6 +157,11 @@ class TestMixer:
             k = rng.randrange(1, 100)
             assert eval_hash(index, x, k) == np_eval_hash(index, x, k)
 
+    @pytest.mark.parametrize("x, k, message", [(1, 0, "k must be positive"), (-1, 2, "x must be non-negative")])
+    def test_argument_validation(self, x, k, message):
+        with pytest.raises(InvalidParams, match=message):
+            eval_hash(0, x, k)
+
     def test_single_bucket(self):
         for x in (0, 7, 2**100):
             assert eval_hash(12345, x, 1) == 0
@@ -295,6 +301,37 @@ class TestPerfectHashSearch:
             perfect_hash_search(frozenset(keys), k, ell)
         monkeypatch.setattr(hashing, "family_size", lambda k, ell: index + 1)
         assert perfect_hash_search(frozenset(keys), k, ell).index == index
+
+    def test_scan_cap_raises_too_large(self, monkeypatch):
+        # a cap at the members before the first perfect one stops the scan;
+        # one more member finds it, with the same index and probe count
+        keys, k, ell, index = BLOCK_EDGE_CASES[-1]
+        assert family_size(k, ell) > index + 1
+        monkeypatch.setattr(hashing, "MAX_SCAN_PROBES", index)
+        with pytest.raises(TooLarge, match=f"first {index} members"):
+            perfect_hash_search(frozenset(keys), k, ell)
+        monkeypatch.setattr(hashing, "MAX_SCAN_PROBES", index + 1)
+        assert perfect_hash_search(frozenset(keys), k, ell) == PerfectHashSearch(HashIndex(index), index + 1)
+        # a family no larger than the cap still ends in NoPerfectHash
+        monkeypatch.setattr(hashing, "family_size", lambda k, ell: index)
+        with pytest.raises(NoPerfectHash):
+            perfect_hash_search(frozenset(keys), k, ell)
+
+    def test_scan_cap_makes_prove_exit_3(self, tmp_path, capsys, monkeypatch):
+        from globalcert.cli import main
+
+        graph = tmp_path / "g.txt"
+        assert main(["gen", "--n", "8", "--seed", "2", "--id-range", "poly:2", "--out", str(graph)]) == 0
+        prove = ["prove", "--scheme", "hash", "--graph", str(graph), "--id-range", "poly:2",
+                 "--out", str(tmp_path / "c.bin")]
+        assert main(prove) == 0
+        probes = int(capsys.readouterr().out.split("probes=")[1])
+        assert probes > 1
+        monkeypatch.setattr(hashing, "MAX_SCAN_PROBES", probes - 1)
+        assert main(prove) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("TooLarge: ") and captured.err.count("\n") == 1
 
     @settings(max_examples=150, deadline=None)
     @given(scan_cases())

@@ -41,6 +41,7 @@ from globalcert.schemes import (
     IdListCertificate,
     decode_hash_payload,
     encode_certificate,
+    encode_hash_certificate,
 )
 
 from bipartite import is_bipartite
@@ -195,6 +196,23 @@ class TestAudit:
         assert report.certificates_tried == 1
         decoded = decode_hash_payload(report.witness.payload, fixed8_params())
         assert decoded.claimed_n == 1 and decoded.hash_index == 0
+
+    @pytest.mark.parametrize("kind", ["graph", "csp"])
+    def test_an_accepted_certificate_one_node_rejects_raises(self, monkeypatch, kind):
+        # a space that reports, as accepted, a claim-2 certificate under
+        # poly:2 (M = 4): the node with identifier 8 finds no colour and
+        # rejects, so the audit raises rather than report it
+        graph, ids = Graph.of(3), IdAssignment((0, 1, 8), 9)
+        policy = IdRangePolicy.poly(2)
+        params = SchemeParams(target=K2, id_policy=policy) if kind == "graph" else CspParams(2, policy)
+        found = encode_hash_certificate(HashCertificate(2, 0, (0, 0)), params)
+        monkeypatch.setitem(oracle._SPACES, SchemeTag.HASH, lambda *args: (found, 1, None))
+        monkeypatch.setattr(oracle, "_hash_space", lambda *args: (found, 1, None))
+        with pytest.raises(AssertionError, match=r"audit witness rejected at identifiers \[8\]$"):
+            if kind == "graph":
+                audit_soundness(graph, ids, SchemeTag.HASH, params)
+            else:
+                audit_csp_soundness(graph_to_csp(graph, ids, K2), params)
 
     def test_space_bound(self):
         ids = IdAssignment((0, 1, 2), 8)

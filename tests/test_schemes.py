@@ -143,6 +143,7 @@ class TestEncoding:
         "hash color '1'": (encode_hash_certificate, HashCertificate(2, 0, (0, "1"))),
         "hash claim 2.0": (encode_hash_certificate, HashCertificate(2.0, 0, (0, 1))),
         "hash colors an integer": (encode_hash_certificate, HashCertificate(2, 0, 5)),
+        "not a decoded certificate": (encode_certificate, ((0, 0),)),
     }
 
     @pytest.mark.parametrize("case", sorted(ENCODER_MISUSE))
@@ -186,6 +187,11 @@ class TestHashScheme:
     def test_triangle_refused(self):
         with pytest.raises(NotSatisfiable):
             prove_hash(clique(3), IdAssignment((0, 1, 2), 8), params_fixed(8))
+
+    @pytest.mark.parametrize("prove", [prove_hash, prove_idlist, prove_bitmap])
+    def test_ids_that_do_not_cover_the_graph_are_refused(self, prove):
+        with pytest.raises(InvalidParams, match="does not cover the graph"):
+            prove(Graph.of(2, [(0, 1)]), IdAssignment((5,), 8), params_fixed(8))
 
     def test_monochromatic_list_rejected(self):
         graph, ids = single_edge()
@@ -598,6 +604,11 @@ class TestFieldCodec:
         for value in (4, 5, -1):
             with pytest.raises(InvalidParams, match=rf"field value {value} outside \[0, 4\)"):
                 _write_fields(layout, [value])
+
+    @pytest.mark.parametrize("values", [[], [1, 2]])
+    def test_write_rejects_a_wrong_field_count(self, values):
+        with pytest.raises(InvalidParams, match=f"expected 1 fields, got {len(values)}"):
+            _write_fields(self.head_only((4,))(1), values)
 
     def test_a_claim_longer_than_its_payload_is_malformed(self):
         # gamma(1), then 3 of the 4 bits of a field below 16

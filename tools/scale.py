@@ -5,10 +5,11 @@ For each size and each of the targets K2, K3 and C5 it generates a planted
 graph at expected average degree 3 with `random_h_colorable_graph`, then
 prints the generation seconds, the edge count, the id-list prover's
 seconds or the name of the error it raised, and the seconds and nodes per
-second of running every node's verifier. When the prover refuses, the
-verifier runs on an id-list certificate encoded from the planted colouring,
-which is the generator's first n draws. Identifiers come from
-`poly:2`. Run from anywhere:
+second of running every node's verifier: the median of VERIFY_RUNS calls,
+because one call's time moves by up to a third between runs. When the
+prover refuses, the verifier runs on an id-list certificate encoded from
+the planted colouring, which is the generator's first n draws. Identifiers
+come from `poly:2`. Run from anywhere:
 
     python3 tools/scale.py [--seed S]
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -41,6 +43,7 @@ from globalcert.schemes import IdListCertificate, encode_certificate  # noqa: E4
 SIZES = (10**3, 10**4)
 DEGREE = 3
 POLICY = IdRangePolicy.poly(2)
+VERIFY_RUNS = 3
 
 
 def density_for_degree(n: int, target, degree: float) -> float:
@@ -71,9 +74,12 @@ def row(n: int, name: str, seed: int) -> str:
         phi = planted_colouring(n, target, seed)
         records = sorted((ids.id_of(v), phi[v]) for v in range(n))
         cert = encode_certificate(IdListCertificate(tuple(records)), params)
-    started = time.perf_counter()
-    result = run_all_nodes(graph, ids, cert, params)
-    verify_s = time.perf_counter() - started
+    times = []
+    for _ in range(VERIFY_RUNS):
+        started = time.perf_counter()
+        result = run_all_nodes(graph, ids, cert, params)
+        times.append(time.perf_counter() - started)
+    verify_s = statistics.median(times)
     accepted = "yes" if result.all_accept else "NO"
     return (f"{n:>6} {name:>3} {gen_s:>6.3f} {len(graph.edges):>6} {prove:>14} "
             f"{verify_s:>7.3f} {n / verify_s:>8.0f} {accepted:>8}")
