@@ -10,13 +10,15 @@ log2 l in binary fixed point, for k up to MAX_FAMILY_K = 20000.
 
 A uniformly random function is injective on a fixed k-set with probability
 k!/k^k, so scanning for a perfect member costs about e^k / sqrt(2*pi*k)
-candidates in expectation. The scan tests blocks of members in numpy at
-2.3-2.8 million probes per second (a 2-vCPU Xeon VM), so an honest proof at
-k = 16 took a median 0.43 s and at k = 18 2.3 s. Each step of k costs
-about e times more, so the exponential search keeps honest proving
-desk-scale at lambda = 1. A scan stops with TooLarge after MAX_SCAN_PROBES
-= 10^8 members, about 40 s at that rate, so a large k is refused rather
-than scanned without end.
+candidates in expectation. The scan tests blocks of members in numpy; up
+to k = 64 a member is perfect when its buckets of the keys set as many
+bits of one 64-bit mask as there are keys. At 4-8 million probes per
+second (a 2-vCPU Xeon VM), an honest proof at k = 16 took a median
+0.07-0.13 s and at k = 18 0.9-1.0 s. Each step of k costs about e times
+more, so the exponential search keeps honest proving desk-scale at
+lambda = 1. A scan stops with TooLarge after MAX_SCAN_PROBES = 10^8
+members, about 30 s at k = 30, so a large k is refused rather than
+scanned without end.
 """
 
 from __future__ import annotations
@@ -179,13 +181,18 @@ def member_blocks(keys, k: int, size: int):
     import numpy as np
 
     u64 = np.uint64
+    divisor = u64(k)
     mixed = np.array([_mix_input(x) for x in keys], dtype=u64)
     most_rows = max(_FIRST_ROWS, _BLOCK_CELLS // max(1, len(mixed)))
     start, rows = 0, _FIRST_ROWS
     while start < size:
         stop = min(size, start + rows)
         salts = _fin_words(np.arange(stop - start, dtype=u64) + u64(start))
-        yield start, _fin_words(mixed ^ salts[:, None]) % u64(k)
+        # computed keys x members, so each key's buckets are contiguous
+        words = _fin_words(mixed[:, None] ^ salts)
+        # the remainder mod k, exactly: numpy divides uint64 by a scalar on
+        # a fast path that % does not take
+        yield start, (words - words // divisor * divisor).T
         start, rows = stop, min(2 * rows, most_rows)
 
 
@@ -198,8 +205,11 @@ def perfect_hash_search(keys: frozenset[int] | set[int], k: int, ell: int) -> Pe
     size leaves room for ~e^k misses).
 
     The scan tests the blocks of member_blocks in turn, and the first row
-    whose sorted buckets are pairwise distinct wins. numpy is imported on
-    the first block, so importing the package and verifying never load it.
+    whose buckets are pairwise distinct wins: for k <= 64, a row whose
+    buckets set len(keys) distinct bits of one 64-bit mask; above, a row
+    whose sorted buckets differ from their neighbours. numpy is imported
+    when the scan starts, so importing the package and verifying never
+    load it.
     """
     if len(keys) > k:
         raise InvalidParams("more keys than buckets; no injective member exists")
@@ -208,10 +218,16 @@ def perfect_hash_search(keys: frozenset[int] | set[int], k: int, ell: int) -> Pe
     for x in keys:
         if not 0 <= x < ell:
             raise InvalidParams(f"key {x} outside the family domain [0, {ell})")
+    import numpy as np
+
     size = family_size(k, ell)
+    bit = np.uint64(1)
     for start, buckets in member_blocks(keys, k, min(size, MAX_SCAN_PROBES)):
-        buckets.sort(axis=1)
-        distinct = (buckets[:, 1:] != buckets[:, :-1]).all(axis=1)
+        if k <= 64:
+            distinct = np.bitwise_count(np.bitwise_or.reduce(bit << buckets, axis=1)) == len(keys)
+        else:
+            buckets.sort(axis=1)
+            distinct = (buckets[:, 1:] != buckets[:, :-1]).all(axis=1)
         if distinct.any():
             index = start + int(distinct.argmax())
             return PerfectHashSearch(index=HashIndex(index), probes=index + 1)

@@ -584,6 +584,19 @@ def _bitmap_colors(payload: Bits, params: SchemeParams) -> ColorLookup:
     return lookup
 
 
+class _Colors(dict):
+    """identifier -> color, each computed by `color_of` on its first lookup"""
+
+    __slots__ = ("color_of",)
+
+    def __init__(self, color_of: ColorLookup):
+        self.color_of = color_of
+
+    def __missing__(self, identifier: int) -> int | None:
+        color = self[identifier] = self.color_of(identifier)
+        return color
+
+
 # the last (colors_of, payload, params) that shared_lookup saw, and its lookup
 _last_lookup: list = [None, None, None, None]
 
@@ -600,7 +613,7 @@ def shared_lookup(colors_of, payload: Bits, params: HashFramework) -> ColorLooku
             and (params is last_params or params == last_params):
         return lookup
     try:
-        lookup = functools.cache(colors_of(payload, params))
+        lookup = _Colors(colors_of(payload, params)).__getitem__
     except MalformedCertificate:
         lookup = None
     _last_lookup[:] = colors_of, payload, params, lookup

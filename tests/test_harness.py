@@ -364,6 +364,49 @@ class TestSharedLookup:
         assert run_all_nodes(graph, ids, cert, params).decisions == decisions
         assert calls == [cert.payload] * 2
 
+    def test_one_color_per_identifier(self, monkeypatch):
+        looked_up = []
+        colors_of = {}
+        for scheme, name in ((SchemeTag.HASH, "hash_colors"), (SchemeTag.IDLIST, "_idlist_colors"),
+                             (SchemeTag.BITMAP, "_bitmap_colors")):
+
+            def counting(payload, params, original=getattr(schemes, name)):
+                color_of = original(payload, params)
+
+                def counted(identifier):
+                    looked_up.append(identifier)
+                    return color_of(identifier)
+
+                return counted
+
+            monkeypatch.setattr(schemes, name, counting)
+            colors_of[scheme] = counting
+        rng = random.Random(11)
+        for scheme in SchemeTag:
+            graph, ids, honest, params = planted(scheme, clique(3), 30, rng)
+            for cert in (honest, partly_rejected(graph, ids, honest, params)):
+                shared_lookup.cache_clear()
+                looked_up.clear()
+                decisions = run_all_nodes(graph, ids, cert, params).decisions
+                assert decisions == fresh_decisions(graph, ids, cert, params)
+                # every node looks its own identifier up: each one is
+                # computed once over the whole network
+                assert sorted(looked_up) == sorted(ids.ids)
+                assert run_all_nodes(graph, ids, cert, params).decisions == decisions
+                assert sorted(looked_up) == sorted(ids.ids)
+                # cache_clear drops the colours with the entry
+                shared_lookup.cache_clear()
+                assert run_all_nodes(graph, ids, cert, params).decisions == decisions
+                assert sorted(looked_up) == sorted(ids.ids * 2)
+            # an identifier with no colour is computed once too; a malformed
+            # payload gives no lookup
+            outside = params.id_policy.evaluate(30)
+            lookup = shared_lookup(colors_of[scheme], honest.payload, params)
+            looked_up.clear()
+            assert lookup(outside) is None and lookup(outside) is None
+            assert looked_up == [outside]
+            assert shared_lookup(colors_of[scheme], mutated(honest, [("append", 1)]).payload, params) is None
+
     def test_no_stale_lookup_across_certificates(self):
         rng = random.Random(8)
         for scheme in SchemeTag:

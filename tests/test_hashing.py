@@ -349,6 +349,35 @@ class TestPerfectHashSearch:
         assert scalar_scan(keys, k, ell) == expected
         assert perfect_hash_search(frozenset(keys), k, ell) == expected
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 12, 63, 64, 65, 80])
+    def test_every_block_cell_is_eval_hash(self, k):
+        # 103 keys, some at and above 2^64: the cell cap shortens the fourth
+        # block, two more follow it, and the family ends inside the last
+        rng = random.Random(k)
+        keys = [rng.getrandbits(bits) for bits in (8, 63, 64, 65, 128) for _ in range(20)]
+        keys += [(1 << 64) - 1, 1 << 64, (1 << 128) - 1]
+        starts = block_starts(len(keys), 7)
+        assert starts[4] - starts[3] < 2 * (starts[3] - starts[2])
+        size = starts[-1] - 5
+        blocks = list(hashing.member_blocks(keys, k, size))
+        assert [start for start, _ in blocks] == starts[:-1]
+        assert sum(len(buckets) for _, buckets in blocks) == size
+        for start, buckets in blocks:
+            expected = [[eval_hash(start + i, x, k) for x in keys] for i in range(len(buckets))]
+            assert buckets.tolist() == expected
+
+    @pytest.mark.parametrize("n, k, index", [(0, 64, 0), (0, 66, 0), (32, 64, 2161), (33, 66, 11310)])
+    def test_both_sides_of_the_bitmask_test(self, n, k, index):
+        # the scan tests a row with one 64-bit mask up to k = 64 and sorts
+        # it above; both find the scalar scan's member, past the cell cap
+        rng = random.Random(0)
+        keys = set()
+        while len(keys) < n:
+            keys.add(rng.getrandbits(rng.choice((20, 64, 65, 128))))
+        expected = PerfectHashSearch(HashIndex(index), index + 1)
+        assert scalar_scan(keys, k, 1 << 128) == expected
+        assert perfect_hash_search(frozenset(keys), k, 1 << 128) == expected
+
     def test_import_and_verify_never_import_numpy(self, tmp_path):
         # numpy is imported at call time by the hash kernel, which the prover
         # and the audits run, and by the graph generator: an honest hash
