@@ -230,7 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--lambda", dest="multiplier", default="1")
 
     prove = sub.add_parser("prove", parents=[inputs], help="write a certificate file")
-    prove.add_argument("--scheme", choices=["hash", "idlist", "bitmap"], required=True)
+    # hash, idlist, bitmap: the labels in descending tag order
+    scheme_labels = [tag.label for tag in reversed(SchemeTag)]
+    prove.add_argument("--scheme", choices=scheme_labels, required=True)
     prove.add_argument("--out", required=True)
     prove.set_defaults(func=_cmd_prove)
 
@@ -240,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", parents=[framework], help="exhaustive certificate-space audit")
     audit.add_argument("--graph", required=True)
-    audit.add_argument("--scheme", choices=["hash", "idlist", "bitmap"], default="hash")
+    audit.add_argument("--scheme", choices=scheme_labels, default="hash")
     audit.add_argument("--max-n", dest="max_n", type=int, default=4)
     audit.add_argument("--max-space", dest="max_space", type=int, default=10**7)
     audit.set_defaults(func=_cmd_audit)

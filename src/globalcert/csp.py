@@ -24,8 +24,22 @@ from .bits import Bits
 from .errors import InvalidParams, NotSatisfiable, ParseError, TooLarge
 from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph, _integers, edge_relation, read_instance
 from .hashing import perfect_hash_search  # noqa: F401  kept: perfbench/tracing.py patches it here
-from .schemes import Certificate, HashFramework, ProveStats, hash_colors, prove_hash_table, shared_lookup
+from .schemes import Certificate, HashFramework, ProveStats, hash_colors, prove_hash_table, range_for_proving, shared_lookup
 from .schemes import decode_assignment_fields, encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
+
+
+@lru_cache(maxsize=256)
+def _row_lengths(relation: frozenset) -> frozenset[int]:
+    """The lengths of a relation's rows. This check and `_value_outside`
+    are cached by relation, as `_supports` is, because `graph_to_csp`
+    shares one relation across all its constraints."""
+    return frozenset(map(len, relation))
+
+
+@lru_cache(maxsize=256)
+def _value_outside(relation: frozenset, domain_size: int) -> int | None:
+    """The first value in a relation's rows outside [0, domain_size), or None."""
+    return next((value for row in relation for value in row if not 0 <= value < domain_size), None)
 
 
 @dataclass(frozen=True)
@@ -40,9 +54,8 @@ class CspConstraint:
             raise InvalidParams("empty constraint scope")
         if len(set(self.scope)) != len(self.scope):
             raise InvalidParams("duplicate variable in constraint scope")
-        for row in self.relation:
-            if len(row) != len(self.scope):
-                raise InvalidParams("relation arity does not match the scope")
+        if _row_lengths(self.relation) - {len(self.scope)}:
+            raise InvalidParams("relation arity does not match the scope")
 
 
 @dataclass(frozen=True)
@@ -63,10 +76,9 @@ class CspInstance:
             for var in ct.scope:
                 if not 0 <= var < self.variable_count:
                     raise InvalidParams(f"variable {var} out of range")
-            for row in ct.relation:
-                for value in row:
-                    if not 0 <= value < self.domain_size:
-                        raise InvalidParams(f"relation value {value} outside the domain")
+            value = _value_outside(ct.relation, self.domain_size)
+            if value is not None:
+                raise InvalidParams(f"relation value {value} outside the domain")
 
     def incident(self, var: int) -> tuple[CspConstraint, ...]:
         """The constraints whose scope holds `var`, in constraint order;
@@ -233,10 +245,11 @@ def prove_csp(
     values at the buckets the variable identifiers hash to."""
     if params.domain_size != instance.domain_size:
         raise InvalidParams("params domain does not match the instance")
+    id_range = range_for_proving(instance.ids, instance.variable_count, params.id_policy)
     solution = solve_csp(instance)
     if solution is None:
         raise NotSatisfiable("CSP has no solution")
-    return prove_hash_table(solution, instance.ids, params, stats)
+    return prove_hash_table(solution, instance.ids, id_range, params, stats)
 
 
 def verify_csp_variable(view: CspView, params: CspParams) -> bool:

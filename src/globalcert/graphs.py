@@ -100,9 +100,6 @@ class IdAssignment:
     def id_of(self, vertex: int) -> int:
         return self.ids[vertex]
 
-    def id_set(self) -> frozenset[int]:
-        return frozenset(self.ids)
-
 
 @dataclass(frozen=True)
 class LocalView:
@@ -139,7 +136,9 @@ class IdRangePolicy:
     kind is one of:
       fixed    -- M(n) = param for every n
       poly     -- M(n) = n ** param (integer exponent >= 1)
-      doubexp  -- M(n) = min(2 ** 2 ** n, 2 ** 128)
+      doubexp  -- M(n) = min(2 ** 2 ** n, 2 ** 128), with param 0
+
+    param is an int, not a bool, so `parse(describe())` gives the policy back.
 
     `evaluate` is the one definition of M, and every kind gives it three
     properties that the bitmap decoder and the audits rely on: M is
@@ -151,6 +150,8 @@ class IdRangePolicy:
     param: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.param, int) or isinstance(self.param, bool):
+            raise InvalidParams(f"policy parameter {self.param!r} is not an integer")
         if self.kind == "fixed":
             if not 1 <= self.param <= MAX_ID_RANGE:
                 raise InvalidParams("fixed id range outside [1, 2^128]")
@@ -158,7 +159,8 @@ class IdRangePolicy:
             if self.param < 1:
                 raise InvalidParams("poly exponent must be >= 1 so M(n) >= n")
         elif self.kind == "doubexp":
-            pass
+            if self.param:
+                raise InvalidParams("doubexp takes no parameter")
         else:
             raise InvalidParams(f"unknown policy kind {self.kind!r}")
 

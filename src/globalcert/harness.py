@@ -10,7 +10,7 @@ search).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CertificationError
 from .graphs import (
@@ -50,10 +50,10 @@ def run_all_nodes(
     ids: IdAssignment,
     certificate: Certificate,
     params: SchemeParams,
-    prover_probes: int = 0,
 ) -> RunResult:
     """Build each vertex's local view and apply the scheme's verifier;
-    decisions are independent across vertices."""
+    decisions are independent across vertices. The result counts no prover
+    probes; `prove_and_run` attaches those of its prover."""
     payload, scheme = certificate.payload, certificate.scheme
     decisions = tuple(
         verify_certificate(local_view(graph, ids, v, payload), scheme, params)
@@ -63,7 +63,7 @@ def run_all_nodes(
         decisions=decisions,
         all_accept=all(decisions),
         size_bits=certificate_size_bits(certificate),
-        prover_probes=prover_probes,
+        prover_probes=0,
     )
 
 
@@ -75,7 +75,7 @@ def prove_and_run(
 ) -> tuple[Certificate, RunResult]:
     stats = ProveStats()
     cert = prove_certificate(graph, ids, scheme, params, stats)
-    return cert, run_all_nodes(graph, ids, cert, params, prover_probes=stats.probes)
+    return cert, replace(run_all_nodes(graph, ids, cert, params), prover_probes=stats.probes)
 
 
 @dataclass(frozen=True)

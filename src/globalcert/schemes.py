@@ -42,8 +42,8 @@ bits out in one numpy array and packs them in one step; the decoder reads
 through the verifier's lookup.
 
 The HASH path is shared with the CSP scheme, which differs only in what an
-entry of L means: `prove_hash_table` is the one prover tail (range check,
-perfect-hash scan, bucket table, encode), `encode_hash_certificate` and
+entry of L means: `prove_hash_table` is the one prover tail (perfect-hash
+scan, bucket table, encode), `encode_hash_certificate` and
 `decode_hash_payload` the one codec, and `hash_colors` the one lookup. Each
 takes a HashFramework, the base of SchemeParams and CspParams, which gives
 the value domain and the hash family of a claim.
@@ -412,7 +412,7 @@ def _bitmap_content_bits(payload: Bits, params: SchemeParams) -> int:
 
     def bits(n: int) -> int:
         try:
-            return params.id_policy.evaluate(n) * width
+            return bitmap_payload_bits(n, params)
         except InvalidParams:
             return length + 1
 
@@ -434,7 +434,8 @@ def decode_bitmap_payload(payload: Bits, params: SchemeParams) -> BitmapCertific
 
 
 # ---------------------------------------------------------------------------
-# provers (honest: require a homomorphism, else NotSatisfiable)
+# provers (honest): check the identifiers, then find a homomorphism or raise
+# NotSatisfiable, then lay the certificate out
 # ---------------------------------------------------------------------------
 
 
@@ -448,7 +449,8 @@ def _homomorphism_or_refuse(graph: Graph, params: SchemeParams) -> tuple[int, ..
 
 
 def range_for_proving(ids: IdAssignment, count: int, policy: IdRangePolicy) -> int:
-    """M(count), once every one of the `count` identifiers lies below it."""
+    """M(count), once every one of the `count` identifiers lies below it;
+    each honest prover checks this before it searches."""
     id_range = policy.evaluate(count)
     if len(ids.ids) != count:
         raise InvalidParams("id assignment does not cover the graph")
@@ -461,17 +463,18 @@ def range_for_proving(ids: IdAssignment, count: int, policy: IdRangePolicy) -> i
 def prove_hash_table(
     solution: tuple[int, ...],
     ids: IdAssignment,
+    id_range: int,
     params: HashFramework,
     stats: ProveStats | None = None,
 ) -> Certificate:
-    """Certificate (n, h, L) for a solution of n variables or vertices:
-    h is the smallest family member injective on the identifier set, and L
-    holds each solution value at the bucket its identifier hashes to, zero
-    at unused buckets."""
+    """Certificate (n, h, L) for a solution of n variables or vertices whose
+    identifiers `range_for_proving` has placed below `id_range`: h is the
+    smallest family member injective on the identifier set, and L holds
+    each solution value at the bucket its identifier hashes to, zero at
+    unused buckets."""
     n = len(solution)
-    id_range = range_for_proving(ids, n, params.id_policy)
     buckets = params.bucket_count(n)
-    search = perfect_hash_search(ids.id_set(), buckets, id_range)
+    search = perfect_hash_search(frozenset(ids.ids), buckets, id_range)
     if stats is not None:
         stats.probes += search.probes
     table = [0] * buckets
@@ -487,7 +490,8 @@ def prove_hash(
     stats: ProveStats | None = None,
 ) -> Certificate:
     """Certificate (n, h, L) placing the colors of a homomorphism."""
-    return prove_hash_table(_homomorphism_or_refuse(graph, params), ids, params, stats)
+    id_range = range_for_proving(ids, graph.vertex_count, params.id_policy)
+    return prove_hash_table(_homomorphism_or_refuse(graph, params), ids, id_range, params, stats)
 
 
 def prove_idlist(
@@ -498,8 +502,8 @@ def prove_idlist(
 ) -> Certificate:
     """One record per vertex, ascending by identifier: the identifier plus
     the vertex's color under a homomorphism."""
-    phi = _homomorphism_or_refuse(graph, params)
     range_for_proving(ids, graph.vertex_count, params.id_policy)
+    phi = _homomorphism_or_refuse(graph, params)
     records = sorted((ids.id_of(v), phi[v]) for v in range(graph.vertex_count))
     return encode_idlist_certificate(IdListCertificate(tuple(records)), params)
 
@@ -511,11 +515,10 @@ def prove_bitmap(
     stats: ProveStats | None = None,
 ) -> Certificate:
     """Color of the vertex with identifier i at position i; zero elsewhere."""
-    phi = _homomorphism_or_refuse(graph, params)
     id_range = range_for_proving(ids, graph.vertex_count, params.id_policy)
     if id_range > BITMAP_MAX_RANGE:
         raise BitmapTooLarge(f"M(n) = {id_range} exceeds the 2^26 bitmap cap")
-    return _write_bitmap(phi, params, list(ids.ids), id_range)
+    return _write_bitmap(_homomorphism_or_refuse(graph, params), params, list(ids.ids), id_range)
 
 
 # ---------------------------------------------------------------------------

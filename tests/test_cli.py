@@ -1,11 +1,16 @@
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import globalcert
+from globalcert import Graph, IdAssignment, clique, graph_to_csp, serialize_csp, serialize_graph
 from globalcert.cli import main
 
 
@@ -125,6 +130,20 @@ class TestPipelines:
         ):
             assert run_cli(*argv) == 2
             assert capsys.readouterr().err == message
+
+    def test_identifiers_outside_the_range_exit_2_before_any_search(self, workspace, capsys):
+        # a search for this instance exhausts the solver's budget, so only a
+        # prover that checks the identifiers first exits 2, and at once
+        graph, instance, cert = workspace / "g.txt", workspace / "c.txt", workspace / "c.bin"
+        for path, extra in ((graph, ()), (instance, ("--csp",))):
+            assert run_cli(
+                "gen", "--n", "200", "--target", "K3", "--density", "0.1", "--seed", "0",
+                "--id-range", "poly:2", *extra, "--out", str(path),
+            ) == 0
+        inputs = [("--scheme", scheme, "--graph", str(graph)) for scheme in ("hash", "idlist", "bitmap")]
+        for argv in (*inputs, ("--scheme", "hash", "--csp", str(instance))):
+            assert run_cli("prove", *argv, "--target", "K3", "--id-range", "poly:1", "--out", str(cert)) == 2
+            assert capsys.readouterr().err == "InvalidParams: identifier 25247 outside policy range M(n) = 200\n"
 
     def test_invalid_option_exits_2_whatever_the_certificate_tag(self, workspace, capsys):
         graph = gen_graph(workspace)
@@ -364,3 +383,97 @@ class TestCspPipeline:
         captured = capsys.readouterr()
         assert captured.err == "CertificationError: CSP instances certify under the hash scheme only\n"
         assert not cert.exists()
+
+
+def good_or_bad(good, bad):
+    """An option value that argparse accepts, invalid one time in four;
+    None leaves the option out."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(bad if i == 0 else good))
+
+
+TARGETS = good_or_bad(["K2", "K3", "C5"], ["K4", "", "in.txt", "missing.txt"])
+ID_RANGES = good_or_bad([None, "fixed:64", "poly:2", "doubexp"],
+                        ["poly:1", "poly:x", "fixed:0", "fixed:8.5", "poly:0", "doubexp:7", "linear:2", ""])
+LAMBDAS = good_or_bad([None, "1", "3/2", "2"], ["0", "-1", "1/2", "1/0", "x", "", "nan", "1e400"])
+MAX_NS = good_or_bad(["1", "2", "3"], ["0", "-1", "1000000"])
+SOUP = ["g", "csp", "id", "e", "ct", "#", "0", "1", "2", "3", "8", "-1", "99999999999999999999", "x", "1.5"]
+
+
+@st.composite
+def input_texts(draw):
+    """A graph or CSP file of at most 8 vertices, as written, truncated, or
+    token soup; and whether it is read with --csp."""
+    n = draw(st.integers(1, 8))
+    id_range = draw(st.sampled_from([n, 2 * n, n * n, 64]))
+    identifiers = draw(st.lists(st.integers(0, id_range - 1), min_size=n, max_size=n, unique=True))
+    ids = IdAssignment(tuple(identifiers), id_range)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    graph = Graph.of(n, [(u, v) for u, v in pairs if u != v])
+    as_csp = draw(st.booleans())
+    text = serialize_csp(graph_to_csp(graph, ids, clique(draw(st.integers(1, 3))))) if as_csp \
+        else serialize_graph(graph, ids)
+    form = draw(st.sampled_from(["whole", "whole", "whole", "truncated", "soup"]))
+    if form == "truncated":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif form == "soup":
+        lines = st.lists(st.sampled_from(SOUP), min_size=1, max_size=6).map(" ".join)
+        text = "\n".join(draw(st.lists(lines, max_size=12))) + "\n"
+    return text, as_csp
+
+
+def option(name, value):
+    return () if value is None else (name, value)
+
+
+class TestExitCodeContract:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        input_texts(),
+        st.sampled_from(["prove", "verify", "audit"]),
+        st.sampled_from(["hash", "idlist", "bitmap"]),
+        TARGETS,
+        ID_RANGES,
+        LAMBDAS,
+        MAX_NS,
+        st.sampled_from(["honest", "flipped", "random", "empty"]),
+        st.integers(0, 10**6),
+        st.binary(max_size=24),
+    )
+    def test_every_run_ends_in_a_documented_exit_code(
+        self, text_and_kind, command, scheme, target, id_range, multiplier, max_n, cert_kind, flip, noise,
+    ):
+        text, as_csp = text_and_kind
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            (workdir / "in.txt").write_text(text, encoding="utf-8")
+            framework = ("--target", str(workdir / target) if target.endswith(".txt") else target,
+                         *option("--id-range", id_range))
+            inputs = ("--csp" if as_csp else "--graph", str(workdir / "in.txt"), *framework,
+                      *option("--lambda", multiplier))
+            cert = workdir / "c.bin"
+            if command == "prove":
+                argv = ("prove", "--scheme", scheme, *inputs, "--out", str(cert))
+            elif command == "audit":
+                argv = ("audit", "--graph", str(workdir / "in.txt"), *framework, "--scheme", scheme,
+                        "--max-n", max_n, "--max-space", "2000")
+            else:
+                if cert_kind in ("honest", "flipped"):
+                    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                        main(["prove", "--scheme", scheme, *inputs, "--out", str(cert)])
+                    if cert_kind == "flipped" and cert.exists() and cert.stat().st_size:
+                        blob = bytearray(cert.read_bytes())
+                        blob[flip // 8 % len(blob)] ^= 1 << flip % 8
+                        cert.write_bytes(bytes(blob))
+                else:
+                    cert.write_bytes(noise if cert_kind == "random" else b"")
+                argv = ("verify", *inputs, "--cert", str(cert))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(list(argv))
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in out + err, argv
+        if code in (2, 3):
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        else:
+            assert err == "", (argv, err)

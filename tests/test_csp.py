@@ -287,6 +287,28 @@ class TestValidation:
         with pytest.raises(InvalidParams, match="does not cover the variables"):
             CspInstance(2, 2, ids8(1), ())
 
+    def test_a_shared_relation_is_walked_a_bounded_number_of_times(self):
+        class Walked(frozenset):
+            """A relation that counts the walks over its rows."""
+
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+        # rows no other test builds, so no cached check of an equal relation answers
+        relation = Walked({(0, 2), (2, 0), (1, 2), (2, 1), (0, 1)})
+        ids = IdAssignment(tuple(range(200)), 200)
+        constraints = tuple(CspConstraint((v, v + 1), relation) for v in range(199))
+        CspInstance(200, 3, ids, constraints)
+        CspInstance(200, 3, ids, constraints)
+        with pytest.raises(InvalidParams, match="relation value 2 outside the domain"):
+            CspInstance(200, 2, ids, constraints)
+        with pytest.raises(InvalidParams, match="relation arity does not match the scope"):
+            CspConstraint((0, 1, 2), relation)
+        assert relation.walks <= 4
+
     def test_params_need_a_domain(self):
         with pytest.raises(InvalidParams, match="domain must be non-empty"):
             CspParams(domain_size=0, id_policy=IdRangePolicy.fixed(8))

@@ -512,6 +512,26 @@ class TestIdRangePolicy:
         with pytest.raises(InvalidParams):
             IdRangePolicy.fixed(2**128 + 1)
 
+    @pytest.mark.parametrize("kind, param", [
+        ("poly", 2.5), ("poly", 2.0), ("poly", True), ("fixed", 8.5), ("fixed", "8"),
+        ("fixed", True), ("doubexp", 7), ("doubexp", -1), ("doubexp", 0.0), ("doubexp", False),
+    ])
+    def test_a_parameter_the_policy_cannot_describe_is_refused(self, kind, param):
+        with pytest.raises(InvalidParams):
+            IdRangePolicy(kind, param)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["fixed", "poly", "doubexp", "linear"]),
+        st.one_of(st.integers(-3, 2**129), st.booleans(), st.floats(-3, 2**129), st.just("4")),
+    )
+    def test_every_policy_that_constructs_parses_back_from_its_description(self, kind, param):
+        try:
+            policy = IdRangePolicy(kind, param)
+        except InvalidParams:
+            return
+        assert IdRangePolicy.parse(policy.describe()) == policy
+
 
 POLICIES = [
     *(IdRangePolicy.fixed(m) for m in (1, 7, 2**100, 2**128)),

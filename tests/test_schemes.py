@@ -71,6 +71,12 @@ def params_fixed(m, target=K2, **kw):
     return SchemeParams(target=target, id_policy=IdRangePolicy.fixed(m), **kw)
 
 
+def prove_translation(graph, ids, params, stats=None):
+    """The CSP prover on the graph's CSP translation, in the same framework."""
+    csp_params = CspParams(params.domain_size, params.id_policy, params.range_multiplier)
+    return prove_csp(graph_to_csp(graph, ids, params.target), csp_params, stats)
+
+
 def single_edge(ids=(5, 3), m=8):
     return Graph.of(2, [(0, 1)]), IdAssignment(ids, m)
 
@@ -192,6 +198,32 @@ class TestHashScheme:
     def test_ids_that_do_not_cover_the_graph_are_refused(self, prove):
         with pytest.raises(InvalidParams, match="does not cover the graph"):
             prove(Graph.of(2, [(0, 1)]), IdAssignment((5,), 8), params_fixed(8))
+
+    @pytest.fixture
+    def no_search(self, monkeypatch):
+        """Every homomorphism and CSP search fails the test."""
+        import globalcert.csp as csp
+        import globalcert.oracle as oracle
+
+        def search(*args, **kwargs):
+            raise AssertionError("the prover searched before checking its identifiers")
+
+        monkeypatch.setattr(oracle, "find_homomorphism", search)
+        monkeypatch.setattr(csp, "solve_csp", search)
+
+    @pytest.mark.parametrize("prove", [prove_hash, prove_idlist, prove_bitmap, prove_translation])
+    def test_identifiers_are_checked_before_any_search(self, prove, no_search):
+        # poly:1 gives the triangle M(3) = 3, and identifier 5 lies outside
+        params = SchemeParams(target=clique(2), id_policy=IdRangePolicy.poly(1))
+        with pytest.raises(InvalidParams, match=r"^identifier 5 outside policy range M\(n\) = 3$"):
+            prove(clique(3), IdAssignment((0, 1, 5), 8), params)
+
+    def test_the_bitmap_cap_is_checked_before_any_search(self, no_search, monkeypatch):
+        import globalcert.schemes as schemes
+
+        monkeypatch.setattr(schemes, "BITMAP_MAX_RANGE", 7)
+        with pytest.raises(BitmapTooLarge, match=r"^M\(n\) = 8 exceeds"):
+            prove_bitmap(clique(3), IdAssignment((0, 1, 2), 8), params_fixed(8))
 
     def test_monochromatic_list_rejected(self):
         graph, ids = single_edge()
