@@ -80,7 +80,6 @@ from .schemes import (
     Certificate,
     HashCertificate,
     IdListCertificate,
-    ProveStats,
     SchemeParams,
     SchemeTag,
     certificate_size_bits,

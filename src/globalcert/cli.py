@@ -33,7 +33,7 @@ from .graphs import (
 )
 from .harness import BenchSpec, bench_sizes, default_bench_specs, rows_to_csv, run_all_nodes
 from .oracle import AuditBounds, audit_soundness
-from .schemes import Certificate, ProveStats, SchemeParams, SchemeTag, prove_certificate
+from .schemes import Certificate, SchemeParams, SchemeTag, prove_certificate, scan_probes
 
 _PROVER_ERRORS = (NotSatisfiable, NoPerfectHash, BitmapTooLarge, TooLarge)
 
@@ -88,8 +88,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _instance(args):
     """The one input of `prove` and `verify`, read once: its identifiers in
-    vertex or variable order, `prove(scheme, stats) -> Certificate` and
-    `decide(cert) -> one decision per identifier`."""
+    vertex or variable order, its params, `prove(scheme) -> Certificate`
+    and `decide(cert) -> one decision per identifier`."""
     if (args.csp is None) == (args.graph is None):
         raise CertificationError("exactly one of --graph or --csp is required")
     if args.csp is not None:
@@ -102,10 +102,10 @@ def _instance(args):
             range_multiplier=Fraction(args.multiplier),
         )
 
-        def prove(scheme, stats):
+        def prove(scheme):
             if scheme is not SchemeTag.HASH:
                 raise CertificationError("CSP instances certify under the hash scheme only")
-            return prove_csp(instance, params, stats)
+            return prove_csp(instance, params)
 
         def decide(cert):
             # a CSP certificate is read in the hash layout only: any other
@@ -118,26 +118,25 @@ def _instance(args):
     else:
         graph, ids, params = _graph_input(args, args.multiplier)
 
-        def prove(scheme, stats):
-            return prove_certificate(graph, ids, scheme, params, stats)
+        def prove(scheme):
+            return prove_certificate(graph, ids, scheme, params)
 
         def decide(cert):
             return run_all_nodes(graph, ids, cert, params).decisions
-    return ids.ids, prove, decide
+    return ids.ids, params, prove, decide
 
 
 def _cmd_prove(args) -> int:
-    scheme = SchemeTag.from_label(args.scheme)
-    stats = ProveStats()
-    cert = _instance(args)[1](scheme, stats)
+    _, params, prove, _ = _instance(args)
+    cert = prove(SchemeTag.from_label(args.scheme))
     with open(args.out, "wb") as handle:
         handle.write(cert.to_bytes())
-    print(f"scheme={scheme.label} payload_bits={cert.payload.length} probes={stats.probes}")
+    print(f"scheme={cert.scheme.label} payload_bits={cert.payload.length} probes={scan_probes(cert, params)}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    all_ids, _, decide = _instance(args)
+    all_ids, _, _, decide = _instance(args)
     with open(args.cert, "rb") as handle:
         blob = handle.read()
     try:

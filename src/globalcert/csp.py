@@ -24,7 +24,7 @@ from .bits import Bits
 from .errors import InvalidParams, NotSatisfiable, ParseError, TooLarge
 from .graphs import Graph, IdAssignment, IdRangePolicy, TargetGraph, _integers, edge_relation, read_instance
 from .hashing import perfect_hash_search  # noqa: F401  kept: perfbench/tracing.py patches it here
-from .schemes import Certificate, HashFramework, ProveStats, hash_colors, prove_hash_table, range_for_proving, shared_lookup
+from .schemes import Certificate, HashFramework, hash_colors, prove_hash_table, range_for_proving, shared_lookup
 from .schemes import decode_assignment_fields, encode_assignment_fields  # noqa: F401  kept: perfbench/tracing.py patches it here
 
 
@@ -239,7 +239,6 @@ def solve_csp(instance: CspInstance, budget: int = 10**7) -> tuple[int, ...] | N
 def prove_csp(
     instance: CspInstance,
     params: CspParams,
-    stats: ProveStats | None = None,
 ) -> Certificate:
     """Certificate (n, h, L) over the CSP domain: L holds a solution's
     values at the buckets the variable identifiers hash to."""
@@ -249,7 +248,7 @@ def prove_csp(
     solution = solve_csp(instance)
     if solution is None:
         raise NotSatisfiable("CSP has no solution")
-    return prove_hash_table(solution, instance.ids, id_range, params, stats)
+    return prove_hash_table(solution, instance.ids, id_range, params)
 
 
 def verify_csp_variable(view: CspView, params: CspParams) -> bool:

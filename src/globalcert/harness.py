@@ -2,15 +2,15 @@
 
 run_all_nodes plays every node's verifier against one certificate; the
 bench harness generates target-colorable instances, proves them under each
-scheme, and records exact payload sizes plus the prover's perfect-hash
-search cost (candidate indices probed; zero for the schemes that do not
-search).
+scheme, and records exact payload sizes plus the perfect-hash scan's cost,
+which `scan_probes` reads off each certificate (zero for the schemes that
+do not scan).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import CertificationError
 from .graphs import (
@@ -24,11 +24,11 @@ from .graphs import (
 )
 from .schemes import (
     Certificate,
-    ProveStats,
     SchemeParams,
     SchemeTag,
     certificate_size_bits,
     prove_certificate,
+    scan_probes,
     verify_certificate,
 )
 
@@ -37,12 +37,11 @@ CSV_HEADER = "n,nprime,policy,M,scheme,size_bits,prover_probes,status,wall_ms"
 
 @dataclass(frozen=True)
 class RunResult:
-    """Per-vertex decisions for one certificate, with size and prover cost."""
+    """Per-vertex decisions for one certificate, with its size."""
 
     decisions: tuple[bool, ...]
     all_accept: bool
     size_bits: int
-    prover_probes: int
 
 
 def run_all_nodes(
@@ -52,8 +51,7 @@ def run_all_nodes(
     params: SchemeParams,
 ) -> RunResult:
     """Build each vertex's local view and apply the scheme's verifier;
-    decisions are independent across vertices. The result counts no prover
-    probes; `prove_and_run` attaches those of its prover."""
+    decisions are independent across vertices."""
     payload, scheme = certificate.payload, certificate.scheme
     decisions = tuple(
         verify_certificate(local_view(graph, ids, v, payload), scheme, params)
@@ -63,7 +61,6 @@ def run_all_nodes(
         decisions=decisions,
         all_accept=all(decisions),
         size_bits=certificate_size_bits(certificate),
-        prover_probes=0,
     )
 
 
@@ -73,9 +70,8 @@ def prove_and_run(
     scheme: SchemeTag,
     params: SchemeParams,
 ) -> tuple[Certificate, RunResult]:
-    stats = ProveStats()
-    cert = prove_certificate(graph, ids, scheme, params, stats)
-    return cert, replace(run_all_nodes(graph, ids, cert, params), prover_probes=stats.probes)
+    cert = prove_certificate(graph, ids, scheme, params)
+    return cert, run_all_nodes(graph, ids, cert, params)
 
 
 @dataclass(frozen=True)
@@ -125,12 +121,12 @@ def bench_sizes(
         for scheme in schemes:
             started = time.perf_counter()
             try:
-                _, result = prove_and_run(graph, ids, scheme, params)
+                cert, result = prove_and_run(graph, ids, scheme, params)
                 status = "ok" if result.all_accept else "rejected"
-                size, probes = result.size_bits, result.prover_probes
+                size, probes = result.size_bits, scan_probes(cert, params)
             except CertificationError as exc:
                 status = type(exc).__name__
-                # a prover that raises has counted no probe
+                # a prover that raises leaves no certificate to read a cost from
                 size, probes = None, 0
             wall_ms = (time.perf_counter() - started) * 1000.0
             rows.append(

@@ -170,13 +170,6 @@ class SchemeParams(HashFramework):
         return self.target.vertex_count
 
 
-@dataclass
-class ProveStats:
-    """Mutable sink for prover-side cost counters."""
-
-    probes: int = 0
-
-
 # ---------------------------------------------------------------------------
 # one field codec for the HASH and IDLIST layouts, and for the CSP scheme,
 # which shares the HASH layout
@@ -465,7 +458,6 @@ def prove_hash_table(
     ids: IdAssignment,
     id_range: int,
     params: HashFramework,
-    stats: ProveStats | None = None,
 ) -> Certificate:
     """Certificate (n, h, L) for a solution of n variables or vertices whose
     identifiers `range_for_proving` has placed below `id_range`: h is the
@@ -475,8 +467,6 @@ def prove_hash_table(
     n = len(solution)
     buckets = params.bucket_count(n)
     search = perfect_hash_search(frozenset(ids.ids), buckets, id_range)
-    if stats is not None:
-        stats.probes += search.probes
     table = [0] * buckets
     for identifier, value in zip(ids.ids, solution):
         table[eval_hash(search.index, identifier, buckets)] = value
@@ -487,18 +477,16 @@ def prove_hash(
     graph: Graph,
     ids: IdAssignment,
     params: SchemeParams,
-    stats: ProveStats | None = None,
 ) -> Certificate:
     """Certificate (n, h, L) placing the colors of a homomorphism."""
     id_range = range_for_proving(ids, graph.vertex_count, params.id_policy)
-    return prove_hash_table(_homomorphism_or_refuse(graph, params), ids, id_range, params, stats)
+    return prove_hash_table(_homomorphism_or_refuse(graph, params), ids, id_range, params)
 
 
 def prove_idlist(
     graph: Graph,
     ids: IdAssignment,
     params: SchemeParams,
-    stats: ProveStats | None = None,
 ) -> Certificate:
     """One record per vertex, ascending by identifier: the identifier plus
     the vertex's color under a homomorphism."""
@@ -512,7 +500,6 @@ def prove_bitmap(
     graph: Graph,
     ids: IdAssignment,
     params: SchemeParams,
-    stats: ProveStats | None = None,
 ) -> Certificate:
     """Color of the vertex with identifier i at position i; zero elsewhere."""
     id_range = range_for_proving(ids, graph.vertex_count, params.id_policy)
@@ -716,12 +703,22 @@ def prove_certificate(
     ids: IdAssignment,
     scheme: SchemeTag,
     params: SchemeParams,
-    stats: ProveStats | None = None,
 ) -> Certificate:
-    return _PROVERS[scheme](graph, ids, params, stats)
+    return _PROVERS[scheme](graph, ids, params)
 
 
-# layout size formulas, used by benchmarking and by tests
+def scan_probes(cert: Certificate, params: HashFramework) -> int:
+    """The cost of the honest prover's perfect-hash scan, read off its
+    certificate: the smallest perfect member is the scan's last probe, so a
+    HASH certificate costs its member index + 1; the schemes that do not
+    scan cost 0."""
+    if cert.scheme is not SchemeTag.HASH:
+        return 0
+    return decode_hash_payload(cert.payload, params).hash_index + 1
+
+
+# layout size formulas: the bitmap decoder reads bitmap_payload_bits, and
+# tests read all three
 
 
 def hash_payload_bits(n: int, params: HashFramework) -> int:

@@ -41,7 +41,7 @@ from globalcert import (
     verify_hash,
 )
 from globalcert.harness import BenchSpec, bench_sizes
-from globalcert.schemes import HashCertificate, encode_certificate
+from globalcert.schemes import HashCertificate, encode_certificate, scan_probes
 
 from bipartite import is_bipartite
 from labeled_graphs import all_labeled_graphs
@@ -75,7 +75,7 @@ def test_criterion_1_completeness_sweep():
         cert, result = prove_and_run(graph, ids, SchemeTag.HASH, params)
         if result.all_accept:
             successes += 1
-        worst_probes = max(worst_probes, result.prover_probes)
+        worst_probes = max(worst_probes, scan_probes(cert, params))
     elapsed = time.perf_counter() - started
     ok = successes == 200 and elapsed < 120
     report(1, "completeness sweep", ok,

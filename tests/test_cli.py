@@ -1,16 +1,30 @@
 import io
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import globalcert
-from globalcert import Graph, IdAssignment, clique, graph_to_csp, serialize_csp, serialize_graph
+from globalcert import (
+    Graph,
+    IdAssignment,
+    IdRangePolicy,
+    clique,
+    graph_to_csp,
+    parse_csp,
+    parse_graph,
+    perfect_hash_search,
+    random_id_assignment,
+    serialize_csp,
+    serialize_graph,
+)
 from globalcert.cli import main
 
 
@@ -333,6 +347,50 @@ class TestBenchCommand:
         assert captured.err.count("\n") == 1
 
 
+class TestProbesReport:
+    """`prove`'s `probes=` and the bench CSV's prover_probes column: the
+    honest perfect-hash scan's probe count, found again here with
+    `perfect_hash_search`, and 0 for the schemes that do not scan."""
+
+    N, SEED, POLICY = 8, 1, "poly:2"
+    ID_RANGE = IdRangePolicy.parse(POLICY).evaluate(N)
+
+    @pytest.mark.parametrize("source, scheme, multiplier", [
+        ("--graph", "hash", "1"),
+        ("--graph", "hash", "3/2"),
+        ("--graph", "idlist", "1"),
+        ("--graph", "bitmap", "1"),
+        ("--csp", "hash", "1"),
+        ("--csp", "hash", "3/2"),
+        ("bench", "hash", "1"),
+        ("bench", "idlist", "1"),
+        ("bench", "bitmap", "1"),
+    ])
+    def test_reported_probes_are_the_scan_cost(self, workspace, capsys, source, scheme, multiplier):
+        out = workspace / "out"
+        if source == "bench":
+            row = f"n={self.N},policy={self.POLICY}"
+            assert run_cli("bench", "--row", row, "--schemes", scheme, "--seed", str(self.SEED),
+                           "--out", str(out)) == 0
+            header, line = out.read_text().splitlines()
+            reported = dict(zip(header.split(","), line.split(",")))["prover_probes"]
+            ids = random_id_assignment(self.N, self.ID_RANGE, self.SEED).ids
+        else:
+            instance = workspace / "in.txt"
+            gen = ["--csp"] if source == "--csp" else []
+            assert run_cli("gen", "--n", str(self.N), "--seed", str(self.SEED), "--id-range", self.POLICY,
+                           "--out", str(instance), *gen) == 0
+            assert run_cli("prove", "--scheme", scheme, source, str(instance), "--id-range", self.POLICY,
+                           "--lambda", multiplier, "--out", str(out)) == 0
+            reported = capsys.readouterr().out.split("probes=")[1].strip()
+            text = instance.read_text()
+            ids = (parse_csp(text).ids if source == "--csp" else parse_graph(text)[1]).ids
+        buckets = math.ceil(Fraction(multiplier) * self.N)
+        expected = perfect_hash_search(frozenset(ids), buckets, self.ID_RANGE).probes if scheme == "hash" else 0
+        assert int(reported) == expected
+        assert (expected > 1) == (scheme == "hash")
+
+
 class TestCspPipeline:
     def test_gen_prove_verify_csp(self, workspace, capsys):
         csp = workspace / "inst.csp"
@@ -425,6 +483,37 @@ def option(name, value):
     return () if value is None else (name, value)
 
 
+def run_contained(argv):
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(argv, code, out, err):
+    """Exit 0-3, no traceback, and one stderr line exactly on exit 2 or 3."""
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in out + err, argv
+    if code in (2, 3):
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+    else:
+        assert err == "", (argv, err)
+
+
+DENSITIES = good_or_bad(["0", "0.3", "0.6", "1"], ["-0.1", "1.5", "nan", "inf", "-inf"])
+ROWS = st.tuples(
+    good_or_bad([f"n={n}" for n in range(1, 9)], ["n=0", "n=-1", "n=x", "n=", "n4", ""]),
+    st.lists(st.one_of(
+        TARGETS.map("target={}".format),
+        ID_RANGES.map(lambda r: "policy=poly:2" if r is None else f"policy={r}"),
+        DENSITIES.map("density={}".format),
+    ), max_size=3),
+    good_or_bad([[]], [["denisty=0.1"], ["seed=1"]]),
+).map(lambda parts: ",".join([parts[0], *parts[1], *parts[2]]))
+SCHEME_LISTS = good_or_bad(["hash", "idlist,bitmap", "hash,idlist,bitmap"], ["hsah", "", "hash,", "HASH"])
+
+
 class TestExitCodeContract:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -467,13 +556,33 @@ class TestExitCodeContract:
                 else:
                     cert.write_bytes(noise if cert_kind == "random" else b"")
                 argv = ("verify", *inputs, "--cert", str(cert))
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main(list(argv))
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2, 3), (argv, code)
-        assert "Traceback" not in out + err, argv
-        if code in (2, 3):
-            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
-        else:
-            assert err == "", (argv, err)
+            result = run_contained(argv)
+        assert_contract(argv, *result)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.booleans(),
+        st.integers(-2, 60),
+        DENSITIES,
+        TARGETS,
+        ID_RANGES,
+        st.booleans(),
+        st.lists(ROWS, min_size=1, max_size=2),
+        SCHEME_LISTS,
+    )
+    # a bench row whose bitmap the prover refuses (M(6) = 2^64) is a status, not an exit
+    @example(False, 6, "0.6", "K2", None, False, ["n=6,policy=doubexp"], "idlist,bitmap")
+    def test_gen_and_bench_end_in_a_documented_exit_code(
+        self, is_gen, n, density, target, id_range, as_csp, rows, schemes,
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            (workdir / "in.txt").write_text("g 2 2\nid 0 0\nid 1 1\ne 0 1\n", encoding="utf-8")
+            if is_gen:
+                target = str(workdir / target) if target.endswith(".txt") else target
+                argv = ("gen", f"--n={n}", f"--density={density}", "--target", target,
+                        *option("--id-range", id_range), *(("--csp",) if as_csp else ()))
+            else:
+                rows = [row.replace("target=in.txt", f"target={workdir / 'in.txt'}") for row in rows]
+                argv = ("bench", *(arg for row in rows for arg in ("--row", row)), "--schemes", schemes)
+            assert_contract(argv, *run_contained(argv))

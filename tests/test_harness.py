@@ -47,6 +47,7 @@ from globalcert.schemes import (
     decode_hash_payload,
     encode_certificate,
     hash_colors,
+    scan_probes,
     shared_lookup,
 )
 
@@ -66,7 +67,7 @@ class TestRunAllNodes:
         assert result.all_accept
         assert result.all_accept == all(result.decisions)
         assert result.size_bits == cert.payload.length
-        assert result.prover_probes >= 1
+        assert scan_probes(cert, params) >= 1
 
     def test_corrupted_entry_rejected_at_edge(self):
         g = cycle(6)
@@ -573,8 +574,8 @@ class TestProbeStatistics:
                 for seed in range(runs):
                     g = random_h_colorable_graph(n, K2, 0.5, seed)
                     ids = random_id_assignment(n, policy.evaluate(n), seed + 1000)
-                    _, result = prove_and_run(g, ids, SchemeTag.HASH, params)
-                    if result.prover_probes >= bound:
+                    cert, _ = prove_and_run(g, ids, SchemeTag.HASH, params)
+                    if scan_probes(cert, params) >= bound:
                         over += 1
                 assert over <= runs // 100, (multiplier, n)
 

@@ -71,10 +71,10 @@ def params_fixed(m, target=K2, **kw):
     return SchemeParams(target=target, id_policy=IdRangePolicy.fixed(m), **kw)
 
 
-def prove_translation(graph, ids, params, stats=None):
+def prove_translation(graph, ids, params):
     """The CSP prover on the graph's CSP translation, in the same framework."""
     csp_params = CspParams(params.domain_size, params.id_policy, params.range_multiplier)
-    return prove_csp(graph_to_csp(graph, ids, params.target), csp_params, stats)
+    return prove_csp(graph_to_csp(graph, ids, params.target), csp_params)
 
 
 def single_edge(ids=(5, 3), m=8):
